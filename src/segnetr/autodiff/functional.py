@@ -54,9 +54,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid_stable(v: np.ndarray) -> np.ndarray:
-    # exp(-|v|) never overflows; both branches share it.
-    z = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # 0.5·(1 + tanh(v/2)): one transcendental, and tanh saturates instead of
+    # overflowing, so every finite v gives a value in [0, 1].
+    s = np.empty_like(v)
+    np.multiply(v, 0.5, out=s)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -65,13 +70,18 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid_stable(x.data)
-    y = x.data * s
+    v = x.data
+    s = _sigmoid_stable(v)
 
     def bw(g):
-        return (g * (s * (1.0 + x.data * (1.0 - s))),)
+        # d/dv v·σ(v) = σ·(1 + v·(1 − σ))
+        d = 1.0 - s
+        d *= v
+        d += 1.0
+        d *= s
+        return (g * d,)
 
-    return _make_output(y, (x,), bw)
+    return _make_output(v * s, (x,), bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -125,9 +135,11 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation, NCHW layout, square stride/padding.
 
-    weight is (out_c, in_c/groups, kH, kW).  Implemented as a loop over the
-    kH·kW kernel taps; each tap is a strided view contraction, so the cost is
-    the standard MAC count without an im2col buffer.
+    weight is (out_c, in_c/groups, kH, kW).  Depthwise convolutions
+    (``groups == in_c == out_c``) run on flat zero-padded rows, see
+    :func:`_depthwise`.  Every other case is a loop over the kH·kW kernel
+    taps; each tap is a strided view contraction, so the cost is the
+    standard MAC count without an im2col buffer.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
@@ -142,11 +154,32 @@ def conv2d(
     oh = _conv_out_extent(h, kh, stride, padding)
     ow = _conv_out_extent(w, kw, stride, padding)
 
-    xp = x.data
+    if groups == cin == out_c:
+        y, conv_bw = _depthwise(x.data, weight.data, stride, padding, oh, ow)
+    else:
+        y, conv_bw = _tap_loop(x.data, weight.data, stride, padding, groups, oh, ow)
+    if bias is not None:
+        y += bias.data[None, :, None, None]
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+
+    def bw(g):
+        gx, gw = conv_bw(g)
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    return _make_output(y, inputs, bw)
+
+
+def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
+    """Dense and grouped convolution: one batched matmul per kernel tap (and
+    group).  Returns the output and its backward rule for ``(gx, gw)``."""
+    n, cin, h, w = xd.shape
+    out_c, cpg, kh, kw = wd.shape
+    xp = xd
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    wd = weight.data
-    depthwise = groups == cin and cpg == 1 and out_c == cin
     opg = out_c // groups
 
     def tap_views(src):
@@ -155,24 +188,17 @@ def conv2d(
                 yield di, dj, src[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
 
     area = oh * ow
-    y = np.zeros((n, out_c, area), dtype=x.data.dtype)
+    y = np.zeros((n, out_c, area), dtype=xd.dtype)
     for di, dj, view in tap_views(xp):
         if groups == 1:
             # (out_c, cin) @ (n, cin, area): BLAS-backed batched matmul
             y += np.matmul(wd[:, :, di, dj], view.reshape(n, cin, area))
-        elif depthwise:
-            y += (wd[:, 0, di, dj][None, :, None, None] * view).reshape(n, out_c, area)
         else:
             for gidx in range(groups):
                 y[:, gidx * opg : (gidx + 1) * opg] += np.matmul(
                     wd[gidx * opg : (gidx + 1) * opg, :, di, dj],
                     view[:, gidx * cpg : (gidx + 1) * cpg].reshape(n, cpg, area),
                 )
-    y = y.reshape(n, out_c, oh, ow)
-    if bias is not None:
-        y += bias.data[None, :, None, None]
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g):
         gxp = np.zeros_like(xp)
@@ -184,9 +210,6 @@ def conv2d(
                 vflat = view.reshape(n, cin, area)
                 gw[:, :, di, dj] = np.tensordot(gflat, vflat, axes=([0, 2], [0, 2]))
                 gview += np.matmul(wd[:, :, di, dj].T, gflat).reshape(n, cin, oh, ow)
-            elif depthwise:
-                gw[:, 0, di, dj] = np.einsum("nchw,nchw->c", g, view, optimize=True)
-                gview += wd[:, 0, di, dj][None, :, None, None] * g
             else:
                 for gi in range(groups):
                     go = gflat[:, gi * opg : (gi + 1) * opg]
@@ -198,11 +221,77 @@ def conv2d(
                         wd[gi * opg : (gi + 1) * opg, :, di, dj].T, go
                     ).reshape(n, cpg, oh, ow)
         gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw
 
-    return _make_output(y, inputs, bw)
+    return y.reshape(n, out_c, oh, ow), bw
+
+
+# Rows of the depthwise kernel are processed in blocks of about this many
+# input bytes, so a block's input, accumulator and product stay in L2.
+_DEPTHWISE_BLOCK_BYTES = 256 * 1024
+
+
+def _depthwise(xd, wd, stride, padding, oh, ow):
+    """Depthwise convolution on flat zero-padded rows.
+
+    Each (n, c) plane becomes one row holding the padded image (height H',
+    width W') plus kW − 1 trailing zeros.  The stride-1 output with all W'
+    columns is then ``Σ_t k[c, t] · row[off_t : off_t + (H'−kH+1)·W']`` with
+    ``off_t = di·W' + dj``: every tap is one contiguous slice.  Taps are
+    accumulated in (di, dj) order, the first written rather than added to
+    zeros, over blocks of rows; the kW − 1 wrapped columns of each output row
+    are cropped and, for stride > 1, the stride-1 result is subsampled.  The
+    backward runs in the same layout: ``gw`` is a per-row dot of the
+    zero-filled padded gradient with each shifted slice, ``gx`` a scatter-add
+    of ``g·k`` at the same offsets.
+    """
+    n, c, h, w = xd.shape
+    kh, kw = wd.shape[2:]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    rows, full_h = n * c, hp - kh + 1
+    length = full_h * wp
+    offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    flat = np.zeros((rows, hp * wp + kw - 1), dtype=xd.dtype)
+    flat[:, : hp * wp].reshape(rows, hp, wp)[:, padding : padding + h, padding : padding + w] = (
+        xd.reshape(rows, h, w)
+    )
+    # taps[t, r] is the weight of tap t for row r = (image, channel)
+    taps = np.ascontiguousarray(np.tile(wd.reshape(c, kh * kw), (n, 1)).T)[:, :, None]
+    block = max(1, _DEPTHWISE_BLOCK_BYTES // flat[0].nbytes)
+    acc = np.empty((min(block, rows), length), dtype=xd.dtype)
+    prod = np.empty_like(acc)
+    # output (row, i, j) sits at stride-1 position (stride·i, stride·j)
+    keep = (slice(None), slice(None, None, stride), slice(None, (ow - 1) * stride + 1, stride))
+
+    y = np.empty((rows, oh, ow), dtype=xd.dtype)
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        src, a, p = flat[r0:r1], acc[: r1 - r0], prod[: r1 - r0]
+        np.multiply(src[:, offsets[0] : offsets[0] + length], taps[0, r0:r1], out=a)
+        for t in range(1, len(offsets)):
+            np.multiply(src[:, offsets[t] : offsets[t] + length], taps[t, r0:r1], out=p)
+            a += p
+        y[r0:r1] = a.reshape(r1 - r0, full_h, wp)[keep]
+
+    def bw(g):
+        gfull = np.zeros((rows, length), dtype=flat.dtype)
+        gfull.reshape(rows, full_h, wp)[keep] = g.reshape(rows, oh, ow)
+        gflat = np.zeros_like(flat)
+        gtaps = np.empty((len(offsets), rows), dtype=flat.dtype)
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            src, dst, gb, p = flat[r0:r1], gflat[r0:r1], gfull[r0:r1], prod[: r1 - r0]
+            for t, off in enumerate(offsets):
+                gtaps[t, r0:r1] = np.einsum("ij,ij->i", gb, src[:, off : off + length])
+                np.multiply(gb, taps[t, r0:r1], out=p)
+                dst[:, off : off + length] += p
+        gw = gtaps.reshape(kh * kw, n, c).sum(axis=1).T.reshape(c, 1, kh, kw)
+        gx = gflat[:, : hp * wp].reshape(n, c, hp, wp)[
+            :, :, padding : padding + h, padding : padding + w
+        ]
+        return gx, gw
+
+    return y.reshape(n, c, oh, ow), bw
 
 
 # -- bilinear upsampling -----------------------------------------------------
@@ -268,9 +357,11 @@ def batch_norm(
 
     Training mode uses batch statistics (biased variance) and folds them into
     the running buffers in place.  Eval mode normalizes with the running
-    buffers as constants.  A singleton batch in training cannot produce
-    meaningful batch statistics and is rejected.  One fused op (the hot path
-    in every block), so the backward rule is hand-written.
+    buffers as constants, folded into a per-channel ``scale = γ/√(var+ε)`` and
+    ``shift = β − μ·scale``, so its forward is ``x·scale + shift``.  A
+    singleton batch in training cannot produce meaningful batch statistics
+    and is rejected.  One fused op (the hot path in every block), so the
+    backward rule is hand-written.
     """
     if x.ndim != 4:
         raise ShapeError("batch_norm expects NCHW input")
@@ -278,32 +369,42 @@ def batch_norm(
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be (C,)")
     axes = (0, 2, 3)
-    if training:
-        if x.shape[0] == 1:
-            raise ValidationError(
-                "batch_norm: singleton batch (N=1) in training gives degenerate statistics"
-            )
-        mu = x.data.mean(axis=axes, keepdims=True)
-        var = np.square(x.data - mu).mean(axis=axes, keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.reshape(c).astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(c).astype(running_var.dtype)
-    else:
-        mu = running_mean.reshape(1, c, 1, 1).astype(x.data.dtype)
-        var = running_var.reshape(1, c, 1, 1).astype(x.data.dtype)
+    dt = x.data.dtype
+    gamma4 = gamma.data.reshape(1, c, 1, 1)
+    beta4 = beta.data.reshape(1, c, 1, 1)
+    if not training:
+        mu = running_mean.reshape(1, c, 1, 1).astype(dt)
+        inv_std = 1.0 / np.sqrt(running_var.reshape(1, c, 1, 1).astype(dt) + eps)
+        scale = gamma4 * inv_std
+        y = x.data * scale
+        y += beta4 - mu * scale
+
+        def bw_eval(g):
+            xhat = (x.data - mu) * inv_std
+            return scale * g, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+        return _make_output(y, (x, gamma, beta), bw_eval)
+
+    if x.shape[0] == 1:
+        raise ValidationError(
+            "batch_norm: singleton batch (N=1) in training gives degenerate statistics"
+        )
+    mu = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mu
+    var = np.square(xhat).mean(axis=axes, keepdims=True)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu.reshape(c).astype(running_mean.dtype)
+    running_var *= 1.0 - momentum
+    running_var += momentum * var.reshape(c).astype(running_var.dtype)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std
+    y = gamma4 * xhat + beta4
 
     def bw(g):
         dbeta = g.sum(axis=axes)
         dgamma = (g * xhat).sum(axis=axes)
-        scale = gamma.data[None, :, None, None] * inv_std
-        if not training:
-            return scale * g, dgamma, dbeta
         m = x.data.size // c
-        dx = scale * (
+        dx = (gamma4 * inv_std) * (
             g
             - dbeta[None, :, None, None] / m
             - xhat * (dgamma[None, :, None, None] / m)

@@ -27,6 +27,7 @@ from .errors import (
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ConfigError,
     TrainingError,
 )
 from .model import ModelConfig, build
@@ -51,7 +52,9 @@ class TrainRun:
     ``loss_history`` gains one entry per executed step; ``metric_history``
     gains one ``(step, mean_iou, mean_dice)`` entry per held-out evaluation
     (every ``eval_interval`` steps and at the final step).  ``target_dice``
-    stops the run early once the held-out Dice reaches it.
+    stops the run early once the held-out Dice reaches it.  ``steps`` and
+    ``eval_interval`` must be at least 1 and ``batch_size`` at least 2
+    (training-mode batch norm rejects a singleton batch).
     """
 
     cfg: ModelConfig
@@ -69,6 +72,9 @@ class TrainRun:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
+        for name, least in (("steps", 1), ("eval_interval", 1), ("batch_size", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.seed is None:
             self.seed = self.cfg.seed
 

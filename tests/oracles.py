@@ -109,6 +109,19 @@ def gelu_tanh_reference(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
+def sigmoid_reference(x: float) -> float:
+    """Logistic function in double precision, written so neither side
+    overflows: exp is only ever taken of a non-positive argument."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def silu_reference(x: float) -> float:
+    return x * sigmoid_reference(x)
+
+
 def softmax_naive(row):
     m = max(row)
     exps = [math.exp(v - m) for v in row]

@@ -86,6 +86,16 @@ class TestTrain:
         bad.write_text("not json at all", encoding="utf-8")
         assert main(["train", "--config", str(bad), "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "0", "steps must be >= 1, got 0"),
+        ("--eval-interval", "0", "eval_interval must be >= 1, got 0"),
+        ("--batch-size", "0", "batch_size must be >= 2, got 0"),
+        ("--batch-size", "1", "batch_size must be >= 2, got 1"),
+    ])
+    def test_bad_training_size_exits_2(self, tiny_cfg_path, capsys, flag, value, message):
+        assert main(["train", "--config", tiny_cfg_path, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestEval:
     def test_roundtrip_after_train(self, tiny_cfg_path, tmp_path, capsys):
@@ -151,6 +161,11 @@ class TestAblate:
         out = capsys.readouterr().out
         assert "mode" in out and "params" in out
         assert "without" in out and "parallel" in out
+
+    def test_zero_steps_exits_2(self, tiny_cfg_path, capsys):
+        rc = main(["ablate", "--config", tiny_cfg_path, "--modes", "without", "--steps", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: steps must be >= 1, got 0\n"
 
     def test_unknown_mode_exits_2(self, tiny_cfg_path, capsys):
         rc = main(["ablate", "--config", tiny_cfg_path, "--modes", "bogus"])

@@ -172,6 +172,7 @@ def _op_inventory(rng):
 
     labels = rng.integers(0, 3, size=(2, 3, 1))
     rm, rv = np.zeros(4), np.ones(4)
+    eval_rm, eval_rv = np.linspace(-0.3, 0.3, 4), np.linspace(0.5, 1.5, 4)
     return [
         ("add", AFFINE, lambda x, y: x + y, [t(3, 4), t(4)]),
         ("sub", AFFINE, lambda x, y: x - y, [t(3, 4), t(3, 4)]),
@@ -205,6 +206,9 @@ def _op_inventory(rng):
         ("layer_norm", GENERAL, layer_norm, [t(4, 6), t(6, scale=0.2, shift=1.0), t(6, scale=0.2)]),
         ("batch_norm", GENERAL, lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
         ("cross_entropy", GENERAL, lambda x: cross_entropy(x, labels), [t(2, 3, 3, 1)]),
+        ("conv2d depthwise", AFFINE, lambda x, w, b: conv2d(x, w, b, stride=1, padding=1, groups=3), [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5), t(3)]),
+        ("conv2d depthwise strided", AFFINE, lambda x, w: conv2d(x, w, stride=2, padding=1, groups=3), [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5)]),
+        ("batch_norm eval", AFFINE, lambda x, g, b: batch_norm(x, g, b, eval_rm, eval_rv, False), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
     ]
 
 

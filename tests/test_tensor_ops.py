@@ -22,6 +22,7 @@ from segnetr.autodiff import (
     relu,
     reshape,
     sigmoid,
+    silu,
     softmax,
     transpose,
 )
@@ -33,6 +34,8 @@ from .oracles import (
     conv2d_naive,
     gelu_tanh_reference,
     matmul_naive,
+    sigmoid_reference,
+    silu_reference,
 )
 
 
@@ -132,11 +135,30 @@ class TestConv:
         np.testing.assert_allclose(y.data, x.data, rtol=1e-6)
 
     def test_depthwise_box_sum(self):
-        x = Tensor(np.ones((1, 1, 5, 5)))
-        w = Tensor(np.ones((1, 1, 3, 3)))
-        y = conv2d(x, w, stride=1, padding=1, groups=1).data[0, 0]
-        assert y[2, 2] == 9.0
-        assert y[0, 0] == 4.0 and y[0, 4] == 4.0 and y[4, 0] == 4.0 and y[4, 4] == 4.0
+        # channel c sums its 3x3 neighbourhood with weight c + 1
+        x = Tensor(np.ones((1, 3, 5, 5)))
+        w = Tensor(np.arange(1.0, 4.0).reshape(3, 1, 1, 1) * np.ones((3, 1, 3, 3)))
+        y = conv2d(x, w, stride=1, padding=1, groups=3).data[0]
+        for c in range(3):
+            k = c + 1.0
+            assert y[c, 2, 2] == 9.0 * k
+            assert y[c, 0, 2] == 6.0 * k and y[c, 2, 4] == 6.0 * k
+            assert y[c, 0, 0] == 4.0 * k and y[c, 0, 4] == 4.0 * k
+            assert y[c, 4, 0] == 4.0 * k and y[c, 4, 4] == 4.0 * k
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_depthwise_against_oracle(self, padding, stride, kernel, dtype, atol):
+        rng = np.random.default_rng(40 + 4 * padding + 2 * stride + kernel)
+        x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+        w = rng.standard_normal((3, 1, kernel, kernel)).astype(dtype)
+        b = rng.standard_normal(3).astype(dtype)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=3).data
+        want = conv2d_naive(x, w, b, stride=stride, padding=padding, groups=3)
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
     def test_random_against_six_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -200,6 +222,29 @@ class TestMeanNorms:
         var = ((arr - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
         np.testing.assert_allclose(got, (arr - mu) / np.sqrt(var + 1e-5), rtol=1e-4, atol=1e-5)
 
+    def _eval_case(self, seed):
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((2, 3, 4, 5))
+        g, b, rm = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3)
+        rv = rng.random(3) + 0.5
+        return arr, g, b, rm, rv
+
+    def test_batch_norm_eval_matches_formula(self):
+        arr, g, b, rm, rv = self._eval_case(15)
+        got = batch_norm(t64(arr), t64(g), t64(b), rm, rv, training=False).data
+        c4 = (1, 3, 1, 1)
+        want = (arr - rm.reshape(c4)) / np.sqrt(rv.reshape(c4) + 1e-5) * g.reshape(c4) + b.reshape(c4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_batch_norm_eval_leaves_running_stats(self):
+        arr, g, b, rm, rv = self._eval_case(16)
+        rm_before, rv_before = rm.copy(), rv.copy()
+        x = t64(arr)
+        backward(mean(batch_norm(x, t64(g), t64(b), rm, rv, training=False)))
+        assert x.grad is not None
+        np.testing.assert_array_equal(rm, rm_before)
+        np.testing.assert_array_equal(rv, rv_before)
+
     def test_batch_norm_singleton_statistics_rejected(self):
         x = Tensor(np.zeros((1, 3, 1, 1)))
         with pytest.raises(ValidationError):
@@ -209,6 +254,22 @@ class TestMeanNorms:
 class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(Tensor(np.array(0.0))).data == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_silu_extreme_inputs(self, dtype):
+        mags = [20.0, 88.0, 100.0, 1e4]
+        xs = np.array(mags + [-m for m in mags] + [0.0], dtype=dtype)
+        with np.errstate(all="raise"):
+            x = Tensor(xs, requires_grad=True)
+            s = sigmoid(x).data
+            y = silu(x)
+            backward(mean(y))
+        assert s.dtype == dtype and y.data.dtype == dtype
+        assert np.all(np.isfinite(s)) and np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        vals = [float(v) for v in xs]
+        np.testing.assert_allclose(s, [sigmoid_reference(v) for v in vals], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(y.data, [silu_reference(v) for v in vals], rtol=0, atol=1e-6)
 
     def test_relu_negative(self):
         assert relu(Tensor(np.array(-3.0))).data == 0.0
