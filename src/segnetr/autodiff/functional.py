@@ -70,29 +70,41 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
+    # σ is written into the output buffer and scaled by v in place; the
+    # backward recomputes σ rather than keeping a second full-size array
     v = x.data
-    s = _sigmoid_stable(v)
+    y = _sigmoid_stable(v)
+    y *= v
 
     def bw(g):
         # d/dv v·σ(v) = σ·(1 + v·(1 − σ))
+        s = _sigmoid_stable(v)
         d = 1.0 - s
         d *= v
         d += 1.0
         d *= s
         return (g * d,)
 
-    return _make_output(v * s, (x,), bw)
+    return _make_output(y, (x,), bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)(x + 0.044715x³)))."""
+    """GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)(x + 0.044715x³))).
+
+    The tanh is kept for the backward rather than recomputed: ``v**3`` is
+    the costly step."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
-    t = np.tanh(inner)
-    y = 0.5 * v * (1.0 + t)
+    # the formula's operations in its order, in one buffer
+    t = v**3
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(v, 0.5)
+    y *= 1.0 + t
 
     def bw(g):
         dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
@@ -173,14 +185,20 @@ def conv2d(
 
 
 def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
-    """Dense and grouped convolution: one batched matmul per kernel tap (and
-    group).  Returns the output and its backward rule for ``(gx, gw)``."""
+    """Dense and grouped convolution: one batched matmul per kernel tap and
+    group.  The first tap's product is written as the output and later taps
+    add into it, so a 1×1 convolution is one matmul.  Returns the output and
+    its backward rule for ``(gx, gw)``."""
     n, cin, h, w = xd.shape
     out_c, cpg, kh, kw = wd.shape
     xp = xd
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     opg = out_c // groups
+    # (output channels, input channels) of each group
+    blocks = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg)) for i in range(groups)]
+    # a 1×1 stride-1 kernel has one tap, which reads every padded input once
+    covers = kh == kw == 1 and stride == 1
 
     def tap_views(src):
         for di in range(kh):
@@ -188,38 +206,31 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
                 yield di, dj, src[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
 
     area = oh * ow
-    y = np.zeros((n, out_c, area), dtype=xd.dtype)
+    y = np.empty((n, out_c, area), dtype=xd.dtype)
     for di, dj, view in tap_views(xp):
-        if groups == 1:
-            # (out_c, cin) @ (n, cin, area): BLAS-backed batched matmul
-            y += np.matmul(wd[:, :, di, dj], view.reshape(n, cin, area))
-        else:
-            for gidx in range(groups):
-                y[:, gidx * opg : (gidx + 1) * opg] += np.matmul(
-                    wd[gidx * opg : (gidx + 1) * opg, :, di, dj],
-                    view[:, gidx * cpg : (gidx + 1) * cpg].reshape(n, cpg, area),
-                )
+        for o, c in blocks:
+            # (opg, cpg) @ (n, cpg, area): BLAS-backed batched matmul
+            wt, vt = wd[o, :, di, dj], view[:, c].reshape(n, cpg, area)
+            if di == dj == 0:
+                np.matmul(wt, vt, out=y[:, o])
+            else:
+                y[:, o] += np.matmul(wt, vt)
 
     def bw(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wd)
         gflat = g.reshape(n, out_c, area)
+        gw = np.empty_like(wd)
+        gxp = np.empty(xp.shape, dtype=xp.dtype) if covers else np.zeros_like(xp)
         for di, dj, view in tap_views(xp):
             gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
-            if groups == 1:
-                vflat = view.reshape(n, cin, area)
-                gw[:, :, di, dj] = np.tensordot(gflat, vflat, axes=([0, 2], [0, 2]))
-                gview += np.matmul(wd[:, :, di, dj].T, gflat).reshape(n, cin, oh, ow)
-            else:
-                for gi in range(groups):
-                    go = gflat[:, gi * opg : (gi + 1) * opg]
-                    vflat = view[:, gi * cpg : (gi + 1) * cpg].reshape(n, cpg, area)
-                    gw[gi * opg : (gi + 1) * opg, :, di, dj] = np.tensordot(
-                        go, vflat, axes=([0, 2], [0, 2])
-                    )
-                    gview[:, gi * cpg : (gi + 1) * cpg] += np.matmul(
-                        wd[gi * opg : (gi + 1) * opg, :, di, dj].T, go
-                    ).reshape(n, cpg, oh, ow)
+            for o, c in blocks:
+                go = gflat[:, o]
+                gw[o, :, di, dj] = np.tensordot(
+                    go, view[:, c].reshape(n, cpg, area), axes=([0, 2], [0, 2])
+                )
+                if covers:
+                    np.matmul(wd[o, :, di, dj].T, go, out=gxp.reshape(n, cin, area)[:, c])
+                else:
+                    gview[:, c] += np.matmul(wd[o, :, di, dj].T, go).reshape(n, cpg, oh, ow)
         gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
         return gx, gw
 

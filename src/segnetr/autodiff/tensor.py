@@ -238,8 +238,9 @@ def backward(loss: Tensor) -> None:
             if t._leaf:
                 if t.requires_grad:
                     if t.grad is None:
-                        t.grad = np.zeros_like(t.data)
-                    t.grad += gi
+                        t.grad = np.array(gi, dtype=t.data.dtype)
+                    else:
+                        t.grad += gi
             else:
                 acc = flowing.get(id(t))
                 flowing[id(t)] = gi if acc is None else acc + gi

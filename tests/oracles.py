@@ -122,6 +122,27 @@ def silu_reference(x: float) -> float:
     return x * sigmoid_reference(x)
 
 
+def silu_two_buffer(v: np.ndarray, g: np.ndarray):
+    """SiLU forward and input gradient as a kernel that keeps σ in its own
+    array computes them, one numpy operation at a time:
+    σ = (tanh(v·0.5) + 1)·0.5, y = v·σ, and g·(((1 − σ)·v + 1)·σ).  Array
+    code rather than scalar loops, because it pins the exact operation order:
+    a one-buffer kernel must match it byte for byte."""
+    s = (np.tanh(v * 0.5) + 1.0) * 0.5
+    return v * s, g * (((1.0 - s) * v + 1.0) * s)
+
+
+def gelu_two_buffer(v: np.ndarray, g: np.ndarray):
+    """Tanh-approximation GELU forward and input gradient in the same
+    operation order as the formula, every intermediate in its own array (see
+    :func:`silu_two_buffer`)."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (v + 0.044715 * v**3))
+    y = 0.5 * v * (1.0 + t)
+    dinner = c * (1.0 + 3.0 * 0.044715 * v * v)
+    return y, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner)
+
+
 def softmax_naive(row):
     m = max(row)
     exps = [math.exp(v - m) for v in row]

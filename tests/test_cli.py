@@ -141,10 +141,15 @@ class TestSuiteCommands:
     def test_gradcheck_plumbing_fail(self, monkeypatch, capsys):
         fake = [CheckResult("linear", True), CheckResult("softmax", False, "max 0.2")]
         monkeypatch.setattr("segnetr.cli.gradient_suite", lambda: fake)
-        assert main(["gradcheck", "--f64"]) == 1
+        assert main(["gradcheck"]) == 1
         captured = capsys.readouterr()
         assert "gradcheck softmax: FAIL  max 0.2" in captured.out
         assert "1 gradcheck check(s) failed" in captured.err
+
+    def test_gradcheck_has_no_precision_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--f64"])
+        assert exc.value.code == 2
 
     def test_layout_plumbing_fail(self, monkeypatch, capsys):
         fake = [CheckResult("round-trips p=2", False, "mismatch")]

@@ -78,6 +78,41 @@ class TestBackward:
         assert len(active_tape()) == 0
         assert y.grad is None
 
+    def test_parameter_used_twice_gets_both_contributions(self):
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 3, 4, 4))
+        g1, g2 = rng.standard_normal((2, 5, 4, 4)), rng.standard_normal((2, 5, 4, 4))
+        w = t64(rng.standard_normal((5, 3, 1, 1)))
+
+        def loss(*pairs):
+            return sum_(concat([conv2d(t64(x, rg=False), w) * t64(g, rg=False) for x, g in pairs], axis=0))
+
+        separate = []
+        for pair in ((x1, g1), (x2, g2)):
+            w.zero_grad()
+            backward(loss(pair))
+            separate.append(w.grad)
+        w.zero_grad()
+        backward(loss((x1, g1), (x2, g2)))
+        np.testing.assert_array_equal(w.grad, separate[0] + separate[1])
+
+    def test_leaf_grad_is_not_shared(self):
+        # add passes one gradient array to both operands, and the backward
+        # sweep reaches x + y before sum_(x); each leaf must get its own copy,
+        # so neither a later contribution nor an in-place edit of the
+        # returned grad reaches the other leaf or a later graph
+        x, y = t64(np.ones(3)), t64(np.ones(3))
+        backward(sum_(x) + sum_(x + y))
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+        y.grad *= 7.0
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        x.zero_grad()
+        y.zero_grad()
+        backward(sum_(x) + sum_(x + y))
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+
     def test_grad_accumulates_across_backward_calls(self):
         x = t64(np.ones(3))
         backward(sum_(x))
@@ -209,6 +244,8 @@ def _op_inventory(rng):
         ("conv2d depthwise", AFFINE, lambda x, w, b: conv2d(x, w, b, stride=1, padding=1, groups=3), [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5), t(3)]),
         ("conv2d depthwise strided", AFFINE, lambda x, w: conv2d(x, w, stride=2, padding=1, groups=3), [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5)]),
         ("batch_norm eval", AFFINE, lambda x, g, b: batch_norm(x, g, b, eval_rm, eval_rv, False), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
+        ("conv2d 1x1", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(2, 3, 4, 5), t(4, 3, 1, 1, scale=0.5), t(4)]),
+        ("conv2d 1x1 strided", AFFINE, lambda x, w: conv2d(x, w, stride=2), [t(3, 3, 5, 6), t(4, 3, 1, 1, scale=0.5)]),
     ]
 
 

@@ -26,16 +26,18 @@ from segnetr.autodiff import (
     softmax,
     transpose,
 )
-from segnetr.autodiff import batch_norm
+from segnetr.autodiff import batch_norm, sum_
 from segnetr.errors import ShapeError, ValidationError
 
 from .oracles import (
     bilinear2x_naive,
     conv2d_naive,
     gelu_tanh_reference,
+    gelu_two_buffer,
     matmul_naive,
     sigmoid_reference,
     silu_reference,
+    silu_two_buffer,
 )
 
 
@@ -157,6 +159,20 @@ class TestConv:
         b = rng.standard_normal(3).astype(dtype)
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=3).data
         want = conv2d_naive(x, w, b, stride=stride, padding=padding, groups=3)
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_1x1_against_oracle(self, n, stride, bias, dtype, atol):
+        rng = np.random.default_rng(60 + 4 * n + 2 * stride + bias)
+        x = rng.standard_normal((n, 5, 6, 7)).astype(dtype)
+        w = rng.standard_normal((4, 5, 1, 1)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype) if bias else None
+        got = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride).data
+        want = conv2d_naive(x, w, b, stride=stride, padding=0)
         assert got.dtype == dtype and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
@@ -283,6 +299,53 @@ class TestActivations:
         got = gelu(t64(xs)).data
         want = np.array([gelu_tanh_reference(v) for v in xs])
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _inplace_cases():
+    """(name, op, input shapes); every op is run in float64 on random inputs."""
+    rm, rv = np.linspace(-0.3, 0.3, 4), np.linspace(0.5, 1.5, 4)
+    return [
+        ("conv2d 1x1", lambda x, w: conv2d(x, w), [(2, 4, 5, 6), (3, 4, 1, 1)]),
+        ("conv2d 3x3", lambda x, w: conv2d(x, w, padding=1), [(2, 4, 5, 6), (3, 4, 3, 3)]),
+        ("conv2d depthwise", lambda x, w: conv2d(x, w, padding=1, groups=4), [(2, 4, 5, 6), (4, 1, 3, 3)]),
+        ("silu", silu, [(2, 4, 5, 6)]),
+        ("sigmoid", sigmoid, [(2, 4, 5, 6)]),
+        ("gelu", gelu, [(2, 4, 5, 6)]),
+        ("batch_norm train", lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [(2, 4, 5, 6), (4,), (4,)]),
+        ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
+    ]
+
+
+class TestWriteOnce:
+    """Kernels that write into their own buffers must never write into
+    their inputs, and must match their two-buffer forms byte for byte."""
+
+    @pytest.mark.parametrize("name, op, shapes", _inplace_cases(), ids=[c[0] for c in _inplace_cases()])
+    def test_inputs_untouched_and_not_aliased(self, name, op, shapes):
+        rng = np.random.default_rng(70)
+        inputs = [Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float64) for s in shapes]
+        before = [t.data.tobytes() for t in inputs]
+        y = op(*inputs)
+        assert not np.shares_memory(y.data, inputs[0].data)
+        backward(sum_(y * Tensor(rng.standard_normal(y.shape))))
+        assert [t.data.tobytes() for t in inputs] == before
+        assert all(t.grad is not None for t in inputs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, reference", [(silu, silu_two_buffer), (gelu, gelu_two_buffer)],
+                             ids=["silu", "gelu"])
+    def test_bitwise_equal_to_two_buffer_form(self, op, reference, dtype):
+        rng = np.random.default_rng(71)
+        v = (rng.standard_normal((2, 3, 8, 8)) * 3.0).astype(dtype)
+        v.flat[:9] = [0.0, -0.0, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4, 1e-3]
+        g = rng.standard_normal(v.shape).astype(dtype)
+        x = Tensor(v, requires_grad=True)
+        y = op(x)
+        backward(sum_(y * Tensor(g)))
+        want_y, want_gx = reference(v, g)
+        assert y.data.dtype == dtype and x.grad.dtype == dtype
+        assert y.data.tobytes() == want_y.tobytes()
+        assert x.grad.tobytes() == want_gx.tobytes()
 
 
 class TestBilinear:
