@@ -92,19 +92,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)(x + 0.044715x³))).
-
-    The tanh is kept for the backward rather than recomputed: ``v**3`` is
-    the costly step."""
+    """GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)(x + 0.044715x³)))."""
     v = x.data
-    # the formula's operations in its order, in one buffer
-    t = v**3
-    t *= 0.044715
-    t += v
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = np.multiply(v, 0.5)
-    y *= 1.0 + t
+    inner = _GELU_C * (v + 0.044715 * v**3)
+    t = np.tanh(inner)
+    y = 0.5 * v * (1.0 + t)
 
     def bw(g):
         dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
@@ -197,8 +189,6 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
     opg = out_c // groups
     # (output channels, input channels) of each group
     blocks = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg)) for i in range(groups)]
-    # a 1×1 stride-1 kernel has one tap, which reads every padded input once
-    covers = kh == kw == 1 and stride == 1
 
     def tap_views(src):
         for di in range(kh):
@@ -219,7 +209,7 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
     def bw(g):
         gflat = g.reshape(n, out_c, area)
         gw = np.empty_like(wd)
-        gxp = np.empty(xp.shape, dtype=xp.dtype) if covers else np.zeros_like(xp)
+        gxp = np.zeros_like(xp)
         for di, dj, view in tap_views(xp):
             gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
             for o, c in blocks:
@@ -227,10 +217,7 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
                 gw[o, :, di, dj] = np.tensordot(
                     go, view[:, c].reshape(n, cpg, area), axes=([0, 2], [0, 2])
                 )
-                if covers:
-                    np.matmul(wd[o, :, di, dj].T, go, out=gxp.reshape(n, cin, area)[:, c])
-                else:
-                    gview[:, c] += np.matmul(wd[o, :, di, dj].T, go).reshape(n, cpg, oh, ow)
+                gview[:, c] += np.matmul(wd[o, :, di, dj].T, go).reshape(n, cpg, oh, ow)
         gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
         return gx, gw
 
