@@ -79,11 +79,12 @@ def silu(x: Tensor) -> Tensor:
     def bw(g):
         # d/dv v·σ(v) = σ·(1 + v·(1 − σ))
         s = _sigmoid_stable(v)
-        d = 1.0 - s
+        d = np.subtract(1.0, s)
         d *= v
         d += 1.0
         d *= s
-        return (g * d,)
+        d *= g
+        return (d,)
 
     return _make_output(y, (x,), bw)
 
@@ -94,7 +95,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5·x·(1 + tanh(√(2/π)(x + 0.044715x³)))."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
     y = 0.5 * v * (1.0 + t)
 
@@ -214,9 +215,9 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
             gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
             for o, c in blocks:
                 go = gflat[:, o]
-                gw[o, :, di, dj] = np.tensordot(
-                    go, view[:, c].reshape(n, cpg, area), axes=([0, 2], [0, 2])
-                )
+                vt = view[:, c].reshape(n, cpg, area)
+                # per-image products summed over the batch: no operand copies
+                np.matmul(go, vt.transpose(0, 2, 1)).sum(axis=0, out=gw[o, :, di, dj])
                 gview[:, c] += np.matmul(wd[o, :, di, dj].T, go).reshape(n, cpg, oh, ow)
         gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
         return gx, gw
@@ -396,7 +397,8 @@ def batch_norm(
     running_var += momentum * var.reshape(c).astype(running_var.dtype)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    y = gamma4 * xhat + beta4
+    y = gamma4 * xhat
+    y += beta4  # in place: no second full-size temporary at the peak
 
     def bw(g):
         dbeta = g.sum(axis=axes)

@@ -96,6 +96,19 @@ class BatchNorm2d(Module):
         )
 
 
+def conv_norm(x: Tensor, conv: Conv2d, norm: BatchNorm2d) -> Tensor:
+    """``norm(conv(x))`` for a bias-free ``conv``.  In eval mode the norm is
+    folded into one conv (Jacob et al., 2018, §3.2) with weight ``W·scale``,
+    ``scale = γ/√(var+ε)``, and bias ``β − μ·scale``, rebuilt from autodiff
+    ops on every call: it cannot go stale, and gradients reach W, γ and β."""
+    if norm.training:
+        return norm(conv(x))
+    scale = norm.gamma * Tensor(1.0 / np.sqrt(norm.running_var.astype(x.dtype) + norm.eps))
+    weight = conv.weight * reshape(scale, (-1, 1, 1, 1))
+    bias = norm.beta - Tensor(norm.running_mean.astype(x.dtype)) * scale
+    return F.conv2d(x, weight, bias, conv.stride, conv.padding, conv.groups)
+
+
 class LayerNorm(Module):
     def __init__(self, width: int, eps: float = 1e-5, *, dtype=np.float32):
         super().__init__()
@@ -129,11 +142,11 @@ class MBConv(Module):
         self.project_norm = BatchNorm2d(channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = F.silu(self.expand_norm(self.expand(x)))
-        h = F.silu(self.depthwise_norm(self.depthwise(h)))
+        h = F.silu(conv_norm(x, self.expand, self.expand_norm))
+        h = F.silu(conv_norm(h, self.depthwise, self.depthwise_norm))
         gate = F.sigmoid(self.se_expand(F.silu(self.se_reduce(F.global_avg_pool(h)))))
         h = h * gate
-        return x + self.project_norm(self.project(h))
+        return x + conv_norm(h, self.project, self.project_norm)
 
 
 class WindowAttention(Module):

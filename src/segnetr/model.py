@@ -29,6 +29,7 @@ from .blocks import (
     BatchNorm2d,
     Conv2d,
     SegnetrBlock,
+    conv_norm,
     hwc_to_nchw,
     irsc_fuse,
     nchw_to_hwc,
@@ -191,7 +192,7 @@ class SegnetrModel(Module):
         res = self.cfg.resolution
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != res or x.shape[3] != res:
             raise ShapeError(f"expected input (N, 3, {res}, {res}), got {x.shape}")
-        y = F.silu(self.stem_norm(self.stem(x)))
+        y = F.silu(conv_norm(x, self.stem, self.stem_norm))
         skips = []
         for s in range(NUM_STAGES):
             for block in self.encoder_stages[s]:
@@ -247,8 +248,8 @@ class DoubleConv(Module):
         self.norm2 = BatchNorm2d(channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = F.silu(self.norm1(self.conv1(x)))
-        return F.silu(self.norm2(self.conv2(h)))
+        h = F.silu(conv_norm(x, self.conv1, self.norm1))
+        return F.silu(conv_norm(h, self.conv2, self.norm2))
 
 
 class MiniUnet(Module):
@@ -285,7 +286,7 @@ class MiniUnet(Module):
         res = self.cfg.resolution
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != res or x.shape[3] != res:
             raise ShapeError(f"expected input (N, 3, {res}, {res}), got {x.shape}")
-        y = F.silu(self.stem_norm(self.stem(x)))
+        y = F.silu(conv_norm(x, self.stem, self.stem_norm))
         skips = []
         for s in range(NUM_STAGES):
             y = self.encoder_stages[s](y)

@@ -9,6 +9,7 @@ functions of the run.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -165,17 +166,25 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
 
 
 def save_checkpoint(model: Module, path: str) -> None:
+    # written to a temp file and renamed, so a failed write keeps an earlier checkpoint
     entries = list(model.named_state())
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
-        for name, arr in entries:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
+            for name, arr in entries:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

@@ -134,10 +134,10 @@ def silu_two_buffer(v: np.ndarray, g: np.ndarray):
 
 def gelu_two_buffer(v: np.ndarray, g: np.ndarray):
     """Tanh-approximation GELU forward and input gradient in the same
-    operation order as the formula, every intermediate in its own array (see
-    :func:`silu_two_buffer`)."""
+    operation order as the formula, with the cube as ``v·v·v``, every
+    intermediate in its own array (see :func:`silu_two_buffer`)."""
     c = math.sqrt(2.0 / math.pi)
-    t = np.tanh(c * (v + 0.044715 * v**3))
+    t = np.tanh(c * (v + 0.044715 * (v * v * v)))
     y = 0.5 * v * (1.0 + t)
     dinner = c * (1.0 + 3.0 * 0.044715 * v * v)
     return y, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from segnetr.autodiff import Tensor, backward, grad_check, sum_
+from segnetr.autodiff.tensor import no_grad
 from segnetr.blocks import (
+    BatchNorm2d,
+    Conv2d,
     MBConv,
     InteractionBranch,
     SegnetrBlock,
     WindowAttention,
     hwc_to_nchw,
+    conv_norm,
     irsc_fuse,
     nchw_to_hwc,
 )
@@ -76,6 +80,81 @@ class TestMBConv:
     def test_preserves_shape(self):
         block = MBConv(6, rng=rng_(6))
         assert block(rand((3, 6, 5, 7), seed=7)).shape == (3, 6, 5, 7)
+
+
+# (name, Conv2d arguments, keyword arguments, input shape): the three kinds
+# of conv that the models follow with a norm
+CONV_NORM_CASES = [
+    ("1x1", (6, 8, 1), {}, (2, 6, 5, 7)),
+    ("3x3 depthwise", (6, 6, 3), dict(padding=1, groups=6), (2, 6, 5, 7)),
+    ("3x3 stride-2 stem", (3, 8, 3), dict(stride=2, padding=1), (2, 3, 9, 8)),
+]
+
+
+def conv_norm_pair(args, kw, dtype, seed=80):
+    """A conv and an eval-mode norm with non-trivial γ, β and running
+    statistics, all drawn from ``seed``."""
+    conv = Conv2d(*args, **kw, bias=False, rng=rng_(seed), dtype=dtype)
+    norm = BatchNorm2d(args[1], dtype=dtype).eval()
+    r = rng_(seed + 1)
+    c = args[1]
+    norm.gamma.data[...] = r.uniform(0.5, 1.5, c)
+    norm.beta.data[...] = r.standard_normal(c) * 0.3
+    norm.running_mean[...] = r.standard_normal(c) * 0.5
+    norm.running_var[...] = r.uniform(0.2, 2.0, c)
+    return conv, norm
+
+
+class TestConvNorm:
+    """Eval-mode ``conv_norm`` folds the norm into the conv; it must equal
+    the unfolded ``norm(conv(x))`` and follow every edit of its inputs."""
+
+    # f64 within 1e-12 absolute.  f32 within rtol 1e-6 plus atol 2e-6: the
+    # fold rounds W·scale before the sum instead of scaling the sum, which
+    # moved outputs of magnitude up to 10 by at most 9.5e-7.
+    @pytest.mark.parametrize("dtype, rtol, atol", [(np.float64, 0, 1e-12), (np.float32, 1e-6, 2e-6)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("name, args, kw, shape", CONV_NORM_CASES,
+                             ids=[c[0] for c in CONV_NORM_CASES])
+    def test_eval_fold_equals_unfolded(self, name, args, kw, shape, dtype, rtol, atol):
+        conv, norm = conv_norm_pair(args, kw, dtype)
+        x = rand(shape, seed=81, dtype=dtype)
+        got = conv_norm(x, conv, norm).data
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, norm(conv(x)).data, rtol=rtol, atol=atol)
+
+    def test_training_mode_is_unfolded(self):
+        conv, norm = conv_norm_pair((6, 8, 1), {}, np.float64)
+        norm.train()
+        x = rand((2, 6, 5, 7), seed=82, dtype=np.float64)
+        got = conv_norm(x, conv, norm).data
+        np.testing.assert_array_equal(got, norm(conv(x)).data)
+
+    def test_fold_follows_in_place_edits(self):
+        conv, norm = conv_norm_pair((3, 8, 3), dict(stride=2, padding=1), np.float64)
+        x = rand((2, 3, 9, 8), seed=83, dtype=np.float64)
+        before = conv_norm(x, conv, norm).data
+        edits = [
+            lambda: norm.gamma.data.__imul__(1.5),
+            lambda: norm.running_mean.__iadd__(0.25),
+            lambda: norm.running_var.__imul__(2.0),
+            lambda: conv.weight.data.__imul__(-0.5),
+        ]
+        for edit in edits:
+            edit()
+            got = conv_norm(x, conv, norm).data
+            assert not np.allclose(got, before)
+            np.testing.assert_allclose(got, norm(conv(x)).data, rtol=0, atol=1e-12)
+            before = got
+
+    def test_eval_leaves_running_buffers_untouched(self):
+        conv, norm = conv_norm_pair((6, 6, 3), dict(padding=1, groups=6), np.float64)
+        saved = norm.running_mean.tobytes(), norm.running_var.tobytes()
+        x = Tensor(rng_(84).standard_normal((2, 6, 5, 7)), requires_grad=True, dtype=np.float64)
+        backward(sum_(conv_norm(x, conv, norm)))
+        with no_grad():
+            conv_norm(x, conv, norm)
+        assert (norm.running_mean.tobytes(), norm.running_var.tobytes()) == saved
 
 
 class TestWindowAttention:

@@ -1,9 +1,15 @@
 """In-process tests for the command-line surface.
 
-Every test calls main(argv) directly and inspects the returned exit code
-plus captured stdout/stderr.  Training-heavy commands run on a tiny
-32x32 C=4 config so the whole file stays fast.
+Every test but one calls main(argv) directly and inspects the returned
+exit code plus captured stdout/stderr; the exception runs ``python -m
+segnetr`` in a subprocess.  Training-heavy commands run on a tiny 32x32 C=4
+config so the whole file stays fast.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +38,14 @@ class TestArgParsing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_python_m_segnetr_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "segnetr", "train", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: segnetr train")
 
 
 class TestSummarize:

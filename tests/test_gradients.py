@@ -27,6 +27,7 @@ from segnetr.autodiff import (
 )
 from segnetr.autodiff import batch_norm, bilinear_upsample2x, global_avg_pool, log_softmax
 from segnetr.autodiff.tensor import active_tape, exp, gather, log, no_grad, slice_, sqrt, tanh
+from segnetr.blocks import BatchNorm2d, Conv2d, conv_norm
 from segnetr.errors import ContractError
 
 from .oracles import adam_naive
@@ -246,7 +247,22 @@ def _op_inventory(rng):
         ("batch_norm eval", AFFINE, lambda x, g, b: batch_norm(x, g, b, eval_rm, eval_rv, False), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
         ("conv2d 1x1", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(2, 3, 4, 5), t(4, 3, 1, 1, scale=0.5), t(4)]),
         ("conv2d 1x1 strided", AFFINE, lambda x, w: conv2d(x, w, stride=2), [t(3, 3, 5, 6), t(4, 3, 1, 1, scale=0.5)]),
+        ("conv_norm eval", GENERAL, _conv_norm_eval(eval_rm, eval_rv), [t(2, 3, 5, 6), t(4, 3, 3, 3, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
     ]
+
+
+def _conv_norm_eval(running_mean, running_var):
+    """``(x, W, γ, β) ↦ conv_norm(x, conv, norm)`` for a 3×3 padded conv and
+    an eval-mode norm holding the given running statistics."""
+
+    def fn(x, w, g, b):
+        conv = Conv2d(3, 4, 3, padding=1, bias=False, rng=np.random.default_rng(0), dtype=np.float64)
+        norm = BatchNorm2d(4, dtype=np.float64).eval()
+        norm.running_mean[...], norm.running_var[...] = running_mean, running_var
+        conv.weight, norm.gamma, norm.beta = w, g, b
+        return conv_norm(x, conv, norm)
+
+    return fn
 
 
 @pytest.mark.parametrize("seed", range(20))

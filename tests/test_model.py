@@ -1,6 +1,7 @@
 """Model assembly tests: config validation, shape laws, determinism."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from segnetr.autodiff import Tensor
 from segnetr.costs import count_params
 from segnetr.errors import ConfigError, ShapeError
 from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build
+from segnetr.training import toy_config
 
 SMALL = dict(base_channels=4, resolution=32, num_classes=2, seed=3)
 
@@ -137,6 +139,16 @@ class TestSegnetrModel:
         # padded merges and the odd-grid displacement wrap.
         model = SegnetrModel(small_cfg(resolution=112))
         assert model(rand_input(res=112, seed=7)).shape == (2, 2, 112, 112)
+
+
+def test_named_state_names_and_order_are_fixed():
+    # checkpoints are matched by name in this order; the digest is of the
+    # 287 names of build(toy_config()) joined by newlines
+    names = [name for name, _ in build(toy_config()).named_state()]
+    assert len(names) == 287
+    assert names[:3] == ["stem.weight", "stem_norm.gamma", "stem_norm.beta"]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == "c85399e76ab25ca0887d4bf2c1a43c91aa3f9b396238e5e14b3fd9abdd1f4539"
 
 
 class TestMiniUnet:

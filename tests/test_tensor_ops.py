@@ -300,6 +300,23 @@ class TestActivations:
         want = np.array([gelu_tanh_reference(v) for v in xs])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_gelu_float32_against_float64_reference(self):
+        # float32 kernel against the float64 formula: forward within 1e-6
+        # (half an ulp at |x| = 10 is 4.8e-7) and gradient within 5e-6 of a
+        # central difference of the reference
+        xs = np.concatenate([np.linspace(-10, 10, 401),
+                             np.random.default_rng(72).standard_normal(200) * 3])
+        x = Tensor(xs.astype(np.float32), requires_grad=True)
+        y = gelu(x)
+        backward(sum_(y))
+        pts = [float(v) for v in x.data]
+        h = 1e-5
+        want = [gelu_tanh_reference(v) for v in pts]
+        dwant = [(gelu_tanh_reference(v + h) - gelu_tanh_reference(v - h)) / (2 * h) for v in pts]
+        assert y.data.dtype == np.float32 and x.grad.dtype == np.float32
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(x.grad, dwant, rtol=0, atol=5e-6)
+
 
 def _inplace_cases():
     """(name, op, input shapes); every op is run in float64 on random inputs."""

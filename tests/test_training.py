@@ -164,6 +164,43 @@ class TestCheckpoints:
         fresh = load_checkpoint(path, build(small_cfg(seed=99))).eval()
         np.testing.assert_array_equal(fresh(x).data, want)
 
+    def test_eval_forward_follows_loaded_checkpoint(self, tmp_path):
+        # the eval fold is rebuilt on every call: a model that already ran
+        # eval forwards must give the loaded weights' output, not its own
+        model = build(small_cfg(seed=4)).eval()
+        rng = np.random.default_rng(6)
+        # a fresh build has a zero head (all logits 0); give it weights
+        model.head.weight.data[...] = rng.standard_normal(model.head.weight.shape)
+        for m in model.modules():
+            if hasattr(m, "running_var"):
+                m.running_var *= rng.uniform(0.5, 2.0, m.running_var.shape).astype(np.float32)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        x = Tensor(np.random.default_rng(5).standard_normal((1, 3, 32, 32)).astype(np.float32))
+        want = model(x).data.copy()
+        other = build(small_cfg(seed=99)).eval()
+        assert not np.array_equal(other(x).data, want)
+        np.testing.assert_array_equal(load_checkpoint(path, other)(x).data, want)
+
+    def test_failed_write_keeps_earlier_checkpoint(self, tmp_path):
+        model = build(small_cfg(seed=4))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        good = path.read_bytes()
+
+        class FailsPartway:
+            # the third tensor cannot be encoded as float32, after the
+            # header and two tensors are already written
+            def named_state(self):
+                state = list(model.named_state())
+                yield from state[:2]
+                yield "bad", np.array(["not", "numbers"])
+
+        with pytest.raises(ValueError):
+            save_checkpoint(FailsPartway(), str(path))
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_corrupt_magic_rejected(self, tmp_path):
         model = build(small_cfg())
         path = tmp_path / "m.ckpt"
