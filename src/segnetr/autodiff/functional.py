@@ -236,13 +236,16 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
     Each (n, c) plane becomes one row holding the padded image (height H',
     width W') plus kW − 1 trailing zeros.  The stride-1 output with all W'
     columns is then ``Σ_t k[c, t] · row[off_t : off_t + (H'−kH+1)·W']`` with
-    ``off_t = di·W' + dj``: every tap is one contiguous slice.  Taps are
-    accumulated in (di, dj) order, the first written rather than added to
-    zeros, over blocks of rows; the kW − 1 wrapped columns of each output row
-    are cropped and, for stride > 1, the stride-1 result is subsampled.  The
-    backward runs in the same layout: ``gw`` is a per-row dot of the
-    zero-filled padded gradient with each shifted slice, ``gx`` a scatter-add
-    of ``g·k`` at the same offsets.
+    ``off_t = di·W' + dj``: every tap is one contiguous slice (see
+    :func:`_tap_pass`).  The kW − 1 wrapped columns of each output row are
+    cropped and, for stride > 1, the stride-1 result is subsampled.
+
+    The backward is a gather in the same layout.  One zero-filled row per
+    plane, ``ext``, holds the output gradient at its stride-1 positions with
+    ``top = (kH−1)·W' + (kW−1)`` zeros before and after: the zero-dilated
+    gradient, so one form serves every stride.  ``gw`` is a per-row dot of it with each shifted input
+    slice; ``gx`` is a forward-style tap pass over ``ext`` at offsets
+    ``p·W' + top − off_t``, run over the H interior rows and cropped to W.
     """
     n, c, h, w = xd.shape
     kh, kw = wd.shape[2:]
@@ -256,41 +259,48 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
     )
     # taps[t, r] is the weight of tap t for row r = (image, channel)
     taps = np.ascontiguousarray(np.tile(wd.reshape(c, kh * kw), (n, 1)).T)[:, :, None]
-    block = max(1, _DEPTHWISE_BLOCK_BYTES // flat[0].nbytes)
-    acc = np.empty((min(block, rows), length), dtype=xd.dtype)
-    prod = np.empty_like(acc)
     # output (row, i, j) sits at stride-1 position (stride·i, stride·j)
     keep = (slice(None), slice(None, None, stride), slice(None, (ow - 1) * stride + 1, stride))
-
-    y = np.empty((rows, oh, ow), dtype=xd.dtype)
-    for r0 in range(0, rows, block):
-        r1 = min(r0 + block, rows)
-        src, a, p = flat[r0:r1], acc[: r1 - r0], prod[: r1 - r0]
-        np.multiply(src[:, offsets[0] : offsets[0] + length], taps[0, r0:r1], out=a)
-        for t in range(1, len(offsets)):
-            np.multiply(src[:, offsets[t] : offsets[t] + length], taps[t, r0:r1], out=p)
-            a += p
-        y[r0:r1] = a.reshape(r1 - r0, full_h, wp)[keep]
+    y = _tap_pass(flat, taps, offsets, length, wp, keep, np.empty((rows, oh, ow), dtype=xd.dtype))
 
     def bw(g):
-        gfull = np.zeros((rows, length), dtype=flat.dtype)
+        top = offsets[-1]
+        ext = np.zeros((rows, length + 2 * top), dtype=flat.dtype)
+        gfull = ext[:, top : top + length]
         gfull.reshape(rows, full_h, wp)[keep] = g.reshape(rows, oh, ow)
-        gflat = np.zeros_like(flat)
-        gtaps = np.empty((len(offsets), rows), dtype=flat.dtype)
-        for r0 in range(0, rows, block):
-            r1 = min(r0 + block, rows)
-            src, dst, gb, p = flat[r0:r1], gflat[r0:r1], gfull[r0:r1], prod[: r1 - r0]
-            for t, off in enumerate(offsets):
-                gtaps[t, r0:r1] = np.einsum("ij,ij->i", gb, src[:, off : off + length])
-                np.multiply(gb, taps[t, r0:r1], out=p)
-                dst[:, off : off + length] += p
+        gtaps = np.stack([np.einsum("ij,ij->i", gfull, flat[:, off : off + length]) for off in offsets])
         gw = gtaps.reshape(kh * kw, n, c).sum(axis=1).T.reshape(c, 1, kh, kw)
-        gx = gflat[:, : hp * wp].reshape(n, c, hp, wp)[
-            :, :, padding : padding + h, padding : padding + w
-        ]
-        return gx, gw
+        gx = _tap_pass(
+            ext, taps, [padding * wp + top - off for off in offsets], h * wp, wp,
+            (slice(None), slice(None), slice(padding, padding + w)),
+            np.empty((rows, h, w), dtype=flat.dtype),
+        )
+        return gx.reshape(n, c, h, w), gw
 
     return y.reshape(n, c, oh, ow), bw
+
+
+def _tap_pass(src, taps, offsets, length, wp, keep, out):
+    """``out[r] = grid(Σ_t taps[t, r] · src[r, offsets[t] : offsets[t] + length])[keep]``,
+    where the sum is viewed as a (length / W', W') grid.
+
+    Taps accumulate in order, the first written rather than added to zeros,
+    over blocks of rows of about ``_DEPTHWISE_BLOCK_BYTES`` of ``src``, so a
+    block's input, accumulator and product stay in L2.
+    """
+    rows = src.shape[0]
+    block = max(1, _DEPTHWISE_BLOCK_BYTES // src[0].nbytes)
+    acc = np.empty((min(block, rows), length), dtype=src.dtype)
+    prod = np.empty_like(acc)
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        s, a, p = src[r0:r1], acc[: r1 - r0], prod[: r1 - r0]
+        np.multiply(s[:, offsets[0] : offsets[0] + length], taps[0, r0:r1], out=a)
+        for t in range(1, len(offsets)):
+            np.multiply(s[:, offsets[t] : offsets[t] + length], taps[t, r0:r1], out=p)
+            a += p
+        out[r0:r1] = a.reshape(r1 - r0, -1, wp)[keep]
+    return out
 
 
 # -- bilinear upsampling -----------------------------------------------------
@@ -388,9 +398,11 @@ def batch_norm(
         raise ValidationError(
             "batch_norm: singleton batch (N=1) in training gives degenerate statistics"
         )
+    n, m = x.shape[0], x.data.size // c
     mu = x.data.mean(axis=axes, keepdims=True)
     xhat = x.data - mu
-    var = np.square(xhat).mean(axis=axes, keepdims=True)
+    xhat3 = xhat.reshape(n, c, -1)
+    var = (np.einsum("nck,nck->c", xhat3, xhat3) / m).reshape(1, c, 1, 1)
     running_mean *= 1.0 - momentum
     running_mean += momentum * mu.reshape(c).astype(running_mean.dtype)
     running_var *= 1.0 - momentum
@@ -401,14 +413,14 @@ def batch_norm(
     y += beta4  # in place: no second full-size temporary at the peak
 
     def bw(g):
+        # dx = g·k − k·dβ/m − x̂·(k·dγ/m) with k = γ/√(var+ε): two full-size
+        # arrays, the result and the x̂ product
         dbeta = g.sum(axis=axes)
-        dgamma = (g * xhat).sum(axis=axes)
-        m = x.data.size // c
-        dx = (gamma4 * inv_std) * (
-            g
-            - dbeta[None, :, None, None] / m
-            - xhat * (dgamma[None, :, None, None] / m)
-        )
+        dgamma = np.einsum("nck,nck->c", g.reshape(n, c, -1), xhat3)
+        k = gamma4 * inv_std
+        dx = g * k
+        dx -= k * (dbeta.reshape(1, c, 1, 1) / m)
+        dx -= xhat * (k * (dgamma.reshape(1, c, 1, 1) / m))
         return dx, dgamma, dbeta
 
     return _make_output(y, (x, gamma, beta), bw)

@@ -6,9 +6,9 @@ differentiable operation appends one entry to a module-level ``GradientTape``
 reverse pass).  Scalars are float32 by default; the gradient checker builds
 float64 graphs through the same code path.
 
-The tape is cleared after every ``backward`` call, which bounds memory in a
-training loop.  Evaluation code should run under ``no_grad()`` so the tape
-does not grow.
+Every ``backward`` call empties the tape as it runs, freeing each op's saved
+arrays once its rule has run, which bounds memory in a training loop.
+Evaluation code should run under ``no_grad()`` so the tape does not grow.
 """
 
 from __future__ import annotations
@@ -215,7 +215,10 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tracked leaf reachable from ``loss``.
 
-    The tape is walked once in reverse execution order and then cleared.
+    The tape is walked once in reverse execution order, popping each entry
+    as it is handled: the entry's output, rule and incoming gradient are
+    dropped before the next rule runs, so an op's saved arrays are freed as
+    soon as its gradient has been taken.  The tape is empty afterwards.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -227,24 +230,28 @@ def backward(loss: Tensor) -> None:
         _TAPE.clear()
         return
     flowing[id(loss)] = seed
-    for out, inputs, backward_fn in reversed(_TAPE.entries):
+    entries = _TAPE.entries
+    while entries:
+        out, inputs, backward_fn = entries.pop()
         g = flowing.pop(id(out), None)
-        if g is None:
+        if g is not None:
+            _accumulate(inputs, backward_fn(g), flowing)
+
+
+def _accumulate(inputs: tuple[Tensor, ...], input_grads, flowing: dict[int, np.ndarray]) -> None:
+    # a function of its own, so no gradient outlives the entry that made it
+    for t, gi in zip(inputs, input_grads):
+        if gi is None or not t._tracked:
             continue
-        input_grads = backward_fn(g)
-        for t, gi in zip(inputs, input_grads):
-            if gi is None or not t._tracked:
-                continue
-            if t._leaf:
-                if t.requires_grad:
-                    if t.grad is None:
-                        t.grad = np.array(gi, dtype=t.data.dtype)
-                    else:
-                        t.grad += gi
-            else:
-                acc = flowing.get(id(t))
-                flowing[id(t)] = gi if acc is None else acc + gi
-    _TAPE.clear()
+        if t._leaf:
+            if t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.array(gi, dtype=t.data.dtype)
+                else:
+                    t.grad += gi
+        else:
+            acc = flowing.get(id(t))
+            flowing[id(t)] = gi if acc is None else acc + gi
 
 
 # -- elementwise arithmetic (numpy broadcasting; gradients are unbroadcast) --
@@ -282,15 +289,23 @@ def sub(a: Tensor, b) -> Tensor:
     return _make_output(data, (a, b), bw)
 
 
+def _factor_grad(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of the factor of ``shape`` in a product with ``other``."""
+    if shape == g.shape or other.shape != g.shape:
+        return _unbroadcast(g * other, shape)
+    # a broadcast factor against a full one: one reduction, no g·other array
+    axes = "abcdefghijklmnopqrstuvwxyz"[: g.ndim]
+    extra = g.ndim - len(shape)
+    kept = "".join(ax for i, ax in enumerate(axes[extra:]) if shape[i] != 1)
+    return np.einsum(f"{axes},{axes}->{kept}", g, other).reshape(shape)
+
+
 def mul(a: Tensor, b) -> Tensor:
     b = _constant_like(b, a)
     data = a.data * b.data
 
     def bw(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return _factor_grad(g, b.data, a.data.shape), _factor_grad(g, a.data, b.data.shape)
 
     return _make_output(data, (a, b), bw)
 

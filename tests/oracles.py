@@ -50,6 +50,30 @@ def conv2d_naive(x, w, b=None, stride=1, padding=1, groups=1) -> np.ndarray:
     return out
 
 
+def depthwise_grad_naive(x, w, g, stride=1, padding=1):
+    """(gx, gw) of a depthwise convolution for output gradient ``g``: each
+    output position hands ``g·w`` to the input pixels it read and ``g·x`` to
+    the weights it used."""
+    n, c, h, wid = x.shape
+    _, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    gx = np.zeros((n, c, h, wid), dtype=np.float64)
+    gw = np.zeros((c, 1, kh, kw), dtype=np.float64)
+    for img in range(n):
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    go = float(g[img, ch, i, j])
+                    for di in range(kh):
+                        for dj in range(kw):
+                            r = i * stride + di - padding
+                            s = j * stride + dj - padding
+                            if 0 <= r < h and 0 <= s < wid:
+                                gx[img, ch, r, s] += go * float(w[ch, 0, di, dj])
+                                gw[ch, 0, di, dj] += go * float(x[img, ch, r, s])
+    return gx, gw
+
+
 def window_of(i: int, j: int, p: int, grid_cols: int) -> tuple[int, int]:
     """Window index (row-major) and in-window offset for pixel (i, j)."""
     return (i // p) * grid_cols + (j // p), (i % p) * p + (j % p)

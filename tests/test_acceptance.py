@@ -26,7 +26,7 @@ from segnetr.training import (TrainRun, load_checkpoint, save_checkpoint,
                               toy_config, train)
 from segnetr.verify import gradient_suite, layout_suite
 
-from .conftest import CRITERION_LINES
+from .conftest import CRITERION_LINES, perturb_state
 from .oracles import schedule_attention_params
 
 
@@ -222,7 +222,9 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_checkpoint_roundtrip(tmp_path):
     cfg = ModelConfig(base_channels=4, resolution=32, num_classes=3, seed=5)
-    original = build(cfg)
+    # seeded values in every tensor, so the logits are non-zero and depend
+    # on each tensor the load must restore
+    original = perturb_state(build(cfg), 11)
     original.eval()
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(original, path)
@@ -232,14 +234,16 @@ def test_criterion_9_checkpoint_roundtrip(tmp_path):
     restored.eval()
 
     rng = np.random.default_rng(42)
-    mismatches = 0
+    mismatches, peak = 0, 0.0
     for _ in range(10):
         x = Tensor(rng.random((1, 3, 32, 32), dtype=np.float32))
         a = original(x).data
         b = restored(x).data
         mismatches += a.tobytes() != b.tobytes()
-    ok = mismatches == 0
+        peak = max(peak, float(np.abs(a).max()))
+    ok = mismatches == 0 and peak > 0
     _report("9 checkpoint round-trip", ok,
             f"save/load/forward bitwise equal on 10 random inputs, "
-            f"{10 - mismatches}/10 matched")
+            f"{10 - mismatches}/10 matched, max|logit| {peak:.3g}")
+    assert peak > 0
     assert mismatches == 0

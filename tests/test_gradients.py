@@ -1,5 +1,7 @@
 """Backward-pass semantics, Adam behavior, and finite-difference checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,17 @@ from segnetr.autodiff import (
     transpose,
 )
 from segnetr.autodiff import batch_norm, bilinear_upsample2x, global_avg_pool, log_softmax
-from segnetr.autodiff.tensor import active_tape, exp, gather, log, no_grad, slice_, sqrt, tanh
+from segnetr.autodiff.tensor import (
+    _make_output,
+    active_tape,
+    exp,
+    gather,
+    log,
+    no_grad,
+    slice_,
+    sqrt,
+    tanh,
+)
 from segnetr.blocks import BatchNorm2d, Conv2d, conv_norm
 from segnetr.errors import ContractError
 
@@ -71,6 +83,27 @@ class TestBackward:
         assert len(active_tape()) > 0
         backward(loss)
         assert len(active_tape()) == 0
+
+    def test_saved_arrays_freed_during_backward(self):
+        # a later op's saved array is gone by the time an earlier op's rule runs
+        x = t64(np.ones(4))
+        saved = np.arange(4.0)
+        saved_ref = weakref.ref(saved)
+        freed_when_earlier_rule_ran = []
+
+        def earlier_rule(g):
+            freed_when_earlier_rule_ran.append(saved_ref() is None)
+            return (g,)
+
+        h = _make_output(x.data * 2.0, (x,), earlier_rule)
+        later = _make_output(h.data * saved, (h,), lambda g, s=saved: (g * s,))
+        loss = sum_(later)
+        del saved, h, later
+        assert saved_ref() is not None
+        backward(loss)
+        assert freed_when_earlier_rule_ran == [True]
+        assert len(active_tape()) == 0
+        np.testing.assert_array_equal(x.grad, np.arange(4.0))
 
     def test_no_grad_records_nothing(self):
         x = t64(np.ones(4))

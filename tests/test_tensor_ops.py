@@ -27,11 +27,13 @@ from segnetr.autodiff import (
     transpose,
 )
 from segnetr.autodiff import batch_norm, sum_
+from segnetr.autodiff.tensor import active_tape, mul
 from segnetr.errors import ShapeError, ValidationError
 
 from .oracles import (
     bilinear2x_naive,
     conv2d_naive,
+    depthwise_grad_naive,
     gelu_tanh_reference,
     gelu_two_buffer,
     matmul_naive,
@@ -161,6 +163,24 @@ class TestConv:
         want = conv2d_naive(x, w, b, stride=stride, padding=padding, groups=3)
         assert got.dtype == dtype and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    # float32: atol 1e-5 is about ten ulps at the largest |gw| here (8–16)
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_depthwise_grad_against_oracle(self, padding, stride, kernel, dtype, atol):
+        rng = np.random.default_rng(80 + 4 * padding + 2 * stride + kernel)
+        x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+        w = rng.standard_normal((3, 1, kernel, kernel)).astype(dtype)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = conv2d(xt, wt, stride=stride, padding=padding, groups=3)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        backward(sum_(y * Tensor(g)))
+        want_gx, want_gw = depthwise_grad_naive(x, w, g, stride=stride, padding=padding)
+        assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
+        np.testing.assert_allclose(xt.grad, want_gx, rtol=0, atol=atol)
+        np.testing.assert_allclose(wt.grad, want_gw, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("bias", [False, True])
@@ -330,6 +350,8 @@ def _inplace_cases():
         ("gelu", gelu, [(2, 4, 5, 6)]),
         ("batch_norm train", lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [(2, 4, 5, 6), (4,), (4,)]),
         ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
+        ("mul broadcast gate", mul, [(4, 8, 5, 5), (4, 8, 1, 1)]),
+        ("mul 0-d scalar", mul, [(), (4, 8, 5, 5)]),
     ]
 
 
@@ -340,10 +362,18 @@ class TestWriteOnce:
     @pytest.mark.parametrize("name, op, shapes", _inplace_cases(), ids=[c[0] for c in _inplace_cases()])
     def test_inputs_untouched_and_not_aliased(self, name, op, shapes):
         rng = np.random.default_rng(70)
-        inputs = [Tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float64) for s in shapes]
+        inputs = [Tensor(np.asarray(rng.standard_normal(s)), requires_grad=True) for s in shapes]
         before = [t.data.tobytes() for t in inputs]
         y = op(*inputs)
         assert not np.shares_memory(y.data, inputs[0].data)
+        # the op's own rule, called directly, leaves its gradient and inputs alone
+        out, saved, rule = active_tape().entries[-1]
+        assert out is y and saved == tuple(inputs)
+        g = rng.standard_normal(y.shape)
+        g_before = g.tobytes()
+        rule(g)
+        assert g.tobytes() == g_before
+        assert [t.data.tobytes() for t in inputs] == before
         backward(sum_(y * Tensor(rng.standard_normal(y.shape))))
         assert [t.data.tobytes() for t in inputs] == before
         assert all(t.grad is not None for t in inputs)
@@ -363,6 +393,56 @@ class TestWriteOnce:
         assert y.data.dtype == dtype and x.grad.dtype == dtype
         assert y.data.tobytes() == want_y.tobytes()
         assert x.grad.tobytes() == want_gx.tobytes()
+
+
+def _nan_filled(alloc):
+    def poisoned(*args, **kwargs):
+        arr = alloc(*args, **kwargs)
+        if arr.dtype.kind == "f":
+            arr.fill(np.nan)
+        return arr
+
+    return poisoned
+
+
+def _poison_cases():
+    """(name, op, input shapes) of the kernels run on NaN-filled allocations."""
+    rm, rv = np.linspace(-0.3, 0.3, 4), np.linspace(0.5, 1.5, 4)
+
+    def depthwise(stride, padding):
+        return lambda x, w: conv2d(x, w, stride=stride, padding=padding, groups=4)
+
+    return [
+        *[(f"depthwise s{s} p{p}", depthwise(s, p), [(2, 4, 5, 7), (4, 1, 3, 3)]) for s in (1, 2) for p in (0, 1)],
+        ("depthwise 4x64x56x56", lambda x, w: conv2d(x, w, padding=1, groups=64), [(4, 64, 56, 56), (64, 1, 3, 3)]),
+        ("conv2d 3x3", lambda x, w: conv2d(x, w, padding=1), [(2, 4, 5, 6), (3, 4, 3, 3)]),
+        ("conv2d 1x1", lambda x, w: conv2d(x, w), [(2, 4, 5, 6), (3, 4, 1, 1)]),
+        ("batch_norm train", lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [(2, 4, 5, 6), (4,), (4,)]),
+        ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
+        ("silu", silu, [(2, 4, 5, 6)]),
+        ("mul broadcast", mul, [(4, 8, 5, 5), (4, 8, 1, 1)]),
+    ]
+
+
+class TestPoisonedAllocation:
+    """Every element a kernel reads was written first: with each np.empty and
+    np.empty_like buffer filled with NaN, forward outputs and input gradients
+    equal an unpatched run byte for byte.  Fresh allocations often come back
+    zeroed, so a read of unwritten memory can pass every other test."""
+
+    @pytest.mark.parametrize("name, op, shapes", _poison_cases(), ids=[c[0] for c in _poison_cases()])
+    def test_matches_unpoisoned_run(self, monkeypatch, name, op, shapes):
+        def run():
+            rng = np.random.default_rng(73)
+            inputs = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+            y = op(*inputs)
+            backward(sum_(y * Tensor(rng.standard_normal(y.shape).astype(np.float32))))
+            return [y.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+        want = run()
+        monkeypatch.setattr(np, "empty", _nan_filled(np.empty))
+        monkeypatch.setattr(np, "empty_like", _nan_filled(np.empty_like))
+        assert run() == want
 
 
 class TestBilinear:

@@ -25,6 +25,8 @@ from segnetr.training import (
     train,
 )
 
+from .conftest import perturb_state
+
 
 def small_cfg(seed=0, **over):
     return ModelConfig(base_channels=4, resolution=32, seed=seed, **over)
@@ -156,24 +158,19 @@ class TestCheckpoints:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip_forward_is_bitwise(self, tmp_path):
-        model = build(small_cfg(seed=4)).eval()
+        model = perturb_state(build(small_cfg(seed=4)), 12).eval()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(model, path)
         x = Tensor(np.random.default_rng(5).standard_normal((1, 3, 32, 32)).astype(np.float32))
         want = model(x).data.copy()
+        assert np.abs(want).max() > 0
         fresh = load_checkpoint(path, build(small_cfg(seed=99))).eval()
         np.testing.assert_array_equal(fresh(x).data, want)
 
     def test_eval_forward_follows_loaded_checkpoint(self, tmp_path):
         # the eval fold is rebuilt on every call: a model that already ran
         # eval forwards must give the loaded weights' output, not its own
-        model = build(small_cfg(seed=4)).eval()
-        rng = np.random.default_rng(6)
-        # a fresh build has a zero head (all logits 0); give it weights
-        model.head.weight.data[...] = rng.standard_normal(model.head.weight.shape)
-        for m in model.modules():
-            if hasattr(m, "running_var"):
-                m.running_var *= rng.uniform(0.5, 2.0, m.running_var.shape).astype(np.float32)
+        model = perturb_state(build(small_cfg(seed=4)), 6).eval()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(model, path)
         x = Tensor(np.random.default_rng(5).standard_normal((1, 3, 32, 32)).astype(np.float32))
