@@ -1,32 +1,20 @@
 """Differentiable neural-network operations on :class:`Tensor`.
 
-Convolution and bilinear upsampling carry hand-written backward rules (the
-hot paths); everything else is composed from the primitive ops in
-``tensor.py`` and inherits its gradients.
+Every op here but ``log_softmax`` and ``global_avg_pool`` is one recorded
+node with a hand-written backward rule; those two are composed from the
+primitive ops in ``tensor.py`` and inherit their gradients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
-from .tensor import (
-    Tensor,
-    _make_output,
-    concat,
-    exp,
-    log,
-    matmul,
-    mean,
-    reshape,
-    sqrt,
-    sum_,
-    tanh,
-    transpose,
-)
+from .tensor import Tensor, _make_output, exp, log, mean, sum_
 
 __all__ = [
     "relu",
@@ -110,17 +98,24 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``x @ weight.T + bias`` over the last axis; weight is (out, in)."""
+    """``x @ weight.T + bias`` over the last axis; weight is (out, in).
+
+    One op: with ``x2`` the input as rows, the rule is ``gx = g2 @ W``,
+    ``gW = g2ᵀ @ x2`` and ``gb = Σ g2`` over the rows."""
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight in-width {weight.shape[1]}")
-    lead = x.shape[:-1]
-    flat = reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
-    y = matmul(flat, transpose(weight, (1, 0)))
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y = x2 @ weight.data.T
     if bias is not None:
-        y = y + bias
-    if x.ndim != 2:
-        y = reshape(y, lead + (weight.shape[0],))
-    return y
+        y += bias.data
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+
+    def bw(g):
+        g2 = g.reshape(x2.shape[0], -1)
+        gx, gw = (g2 @ weight.data).reshape(x.data.shape), g2.T @ x2
+        return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
+
+    return _make_output(y.reshape(x.shape[:-1] + y.shape[1:]), inputs, bw)
 
 
 def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
@@ -216,8 +211,12 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
             for o, c in blocks:
                 go = gflat[:, o]
                 vt = view[:, c].reshape(n, cpg, area)
-                # per-image products summed over the batch: no operand copies
-                np.matmul(go, vt.transpose(0, 2, 1)).sum(axis=0, out=gw[o, :, di, dj])
+                if area == 1:
+                    # a 1×1 map (squeeze-excitation): one GEMM with the batch as K
+                    np.matmul(go[:, :, 0].T, vt[:, :, 0], out=gw[o, :, di, dj])
+                else:
+                    # per-image products summed over the batch: no operand copies
+                    np.matmul(go, vt.transpose(0, 2, 1)).sum(axis=0, out=gw[o, :, di, dj])
                 gview[:, c] += np.matmul(wd[o, :, di, dj].T, go).reshape(n, cpg, oh, ow)
         gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
         return gx, gw
@@ -306,9 +305,10 @@ def _tap_pass(src, taps, offsets, length, wp, keep, out):
 # -- bilinear upsampling -----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(out_len: int, in_len: int, dtype) -> np.ndarray:
     """Row-interpolation matrix for 2x bilinear upsampling, half-pixel
-    centers (align_corners=False), edge-clamped."""
+    centers (align_corners=False), edge-clamped.  Cached, so read-only."""
     m = np.zeros((out_len, in_len), dtype=dtype)
     for o in range(out_len):
         real = max((o + 0.5) / 2.0 - 0.5, 0.0)
@@ -317,6 +317,7 @@ def _interp_matrix(out_len: int, in_len: int, dtype) -> np.ndarray:
         frac = real - i0
         m[o, i0] += 1.0 - frac
         m[o, i1] += frac
+    m.flags.writeable = False
     return m
 
 
@@ -343,13 +344,30 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then affine with (C,) gamma/beta."""
+    """Normalize over the last axis, then affine with (C,) gamma/beta.
+
+    One op; with ``x̂ = (x − μ)/σ``, ``σ = √(var+ε)`` and ``ĝ = g·γ`` the
+    input gradient is ``(ĝ − mean ĝ − x̂·mean(ĝ·x̂))/σ``."""
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError("layer_norm: gamma/beta must match the last axis extent")
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = mean(xc * xc, axis=-1, keepdims=True)
-    return (xc / sqrt(var + eps)) * gamma + beta
+    n = x.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
+    xhat /= std
+    y = xhat * gamma.data
+    y += beta.data
+
+    def bw(g):
+        g2, xh2 = g.reshape(-1, n), xhat.reshape(-1, n)
+        dgamma, dbeta = np.einsum("rk,rk->k", g2, xh2), g2.sum(axis=0)
+        gh = g2 * gamma.data
+        proj = np.einsum("rk,rk->r", gh, xh2)[:, None] / n
+        gh -= np.add.reduce(gh, axis=1, keepdims=True) / n
+        gh -= xh2 * proj
+        gh /= std.reshape(-1, 1)
+        return gh.reshape(x.data.shape), dgamma, dbeta
+
+    return _make_output(y, (x, gamma, beta), bw)
 
 
 def batch_norm(
@@ -399,15 +417,15 @@ def batch_norm(
             "batch_norm: singleton batch (N=1) in training gives degenerate statistics"
         )
     n, m = x.shape[0], x.data.size // c
-    mu = x.data.mean(axis=axes, keepdims=True)
+    mu = np.add.reduce(x.data, axis=axes, keepdims=True) / m
     xhat = x.data - mu
     xhat3 = xhat.reshape(n, c, -1)
-    var = (np.einsum("nck,nck->c", xhat3, xhat3) / m).reshape(1, c, 1, 1)
+    var = np.einsum("nck,nck->c", xhat3, xhat3) / m
     running_mean *= 1.0 - momentum
-    running_mean += momentum * mu.reshape(c).astype(running_mean.dtype)
+    running_mean += momentum * mu.reshape(c)
     running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(c).astype(running_var.dtype)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    running_var += momentum * var
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
     xhat *= inv_std
     y = gamma4 * xhat
     y += beta4  # in place: no second full-size temporary at the peak
@@ -430,9 +448,17 @@ def batch_norm(
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = exp(shifted)
-    return e / sum_(e, axis=axis, keepdims=True)
+    """One op on max-shifted input; the rule is ``y·(g − Σ g·y)``."""
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
+
+    def bw(g):
+        d = g - np.add.reduce(g * y, axis=axis, keepdims=True)
+        d *= y
+        return (d,)
+
+    return _make_output(y, (x,), bw)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -441,7 +467,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy; logits (N, K, ...) against integer labels (N, ...)."""
+    """Mean cross-entropy; logits (N, K, ...) against integer labels (N, ...).
+
+    One op: log-sum-exp over max-shifted logits minus the label's logit,
+    picked by index; the rule is ``(softmax − onehot)·g/count``."""
     labels = np.asarray(labels)
     if labels.shape != logits.shape[:1] + logits.shape[2:]:
         raise ShapeError(
@@ -450,10 +479,20 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     k = logits.shape[1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"cross_entropy: labels must lie in [0, {k})")
-    ls = log_softmax(logits, axis=1)
-    onehot = np.moveaxis(np.eye(k, dtype=logits.data.dtype)[labels], -1, 1)
-    picked = sum_(ls * Tensor(onehot))
-    return -picked / float(labels.size)
+    picks = labels[:, None]
+    e = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = np.take_along_axis(e, picks, axis=1)
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    loss = np.asarray(np.add.reduce(np.log(total) - picked, axis=None) / labels.size)
+
+    def bw(g):
+        p = e / total
+        np.put_along_axis(p, picks, np.take_along_axis(p, picks, axis=1) - 1.0, axis=1)
+        p *= g / labels.size
+        return (p,)
+
+    return _make_output(loss, (logits,), bw)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -38,9 +38,6 @@ class GradientTape:
         self.entries: list[tuple["Tensor", tuple["Tensor", ...], Callable]] = []
         self.enabled = True
 
-    def record(self, output: "Tensor", inputs: tuple["Tensor", ...], backward: Callable) -> None:
-        self.entries.append((output, inputs, backward))
-
     def clear(self) -> None:
         self.entries.clear()
 
@@ -202,13 +199,15 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
     out.data = data
     out.grad = None
     out.requires_grad = False
-    if _TAPE.enabled and any(t._tracked for t in inputs):
-        out._leaf = False
-        out._tracked = True
-        _TAPE.record(out, tuple(inputs), backward_fn)
-    else:
-        out._leaf = True
-        out._tracked = False
+    out._leaf = True
+    out._tracked = False
+    if _TAPE.enabled:
+        for t in inputs:
+            if t._tracked:
+                out._leaf = False
+                out._tracked = True
+                _TAPE.entries.append((out, tuple(inputs), backward_fn))
+                break
     return out
 
 
@@ -350,11 +349,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    wanted = tuple(int(s) for s in shape)
     try:
-        data = a.data.reshape(wanted)
+        data = a.data.reshape(shape)
     except ValueError as exc:
-        raise ShapeError(f"cannot reshape {a.shape} to {wanted}") from exc
+        raise ShapeError(f"cannot reshape {a.shape} to {shape}") from exc
     src_shape = a.data.shape
     return _make_output(data, (a,), lambda g: (g.reshape(src_shape),))
 
@@ -362,8 +360,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     if len(axes) != a.ndim:
         raise ShapeError(f"transpose axes {axes} do not match rank {a.ndim}")
-    inv = tuple(np.argsort(axes))
-    return _make_output(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+    return _make_output(a.data.transpose(axes), (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -469,7 +466,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = 1
     for ax in axes:
         n *= a.data.shape[ax]
-    data = a.data.mean(axis=axes, keepdims=keepdims)
+    # the bits of ndarray.mean without its Python-level wrapper
+    data = np.add.reduce(a.data, axis=axes, keepdims=keepdims) / n
     src_shape = a.data.shape
     inv_n = 1.0 / n
 

@@ -174,6 +174,78 @@ def softmax_naive(row):
     return [e / s for e in exps]
 
 
+def linear_naive(x, w, b, g):
+    """``y = x·Wᵀ + b`` on rows ``x`` (R, I) and its gradients for output
+    gradient ``g`` (R, O): ``(y, gx, gw, gb)``; ``b`` may be None."""
+    rows, width = x.shape
+    outs = w.shape[0]
+    y = np.zeros((rows, outs))
+    gx, gw, gb = np.zeros((rows, width)), np.zeros((outs, width)), np.zeros(outs)
+    for r in range(rows):
+        for o in range(outs):
+            acc = 0.0 if b is None else float(b[o])
+            go = float(g[r, o])
+            gb[o] += go
+            for k in range(width):
+                acc += float(w[o, k]) * float(x[r, k])
+                gx[r, k] += go * float(w[o, k])
+                gw[o, k] += go * float(x[r, k])
+            y[r, o] = acc
+    return y, gx, gw, gb
+
+
+def layer_norm_naive(x, gamma, beta, g, eps=1e-5):
+    """Layer norm over the last axis of rows ``x`` (R, C) and its gradients
+    for output gradient ``g``: ``(y, gx, ggamma, gbeta)``.  ``gx`` sums the
+    full Jacobian ``∂x̂_j/∂x_k = (δ_jk − 1/C)/σ − x̂_j·x̂_k/(C·σ)``."""
+    rows, width = x.shape
+    y, gx = np.zeros((rows, width)), np.zeros((rows, width))
+    ggamma, gbeta = np.zeros(width), np.zeros(width)
+    for r in range(rows):
+        vals = [float(v) for v in x[r]]
+        mu = sum(vals) / width
+        sigma = math.sqrt(sum((v - mu) ** 2 for v in vals) / width + eps)
+        xhat = [(v - mu) / sigma for v in vals]
+        for j in range(width):
+            y[r, j] = xhat[j] * float(gamma[j]) + float(beta[j])
+            ggamma[j] += float(g[r, j]) * xhat[j]
+            gbeta[j] += float(g[r, j])
+        for k in range(width):
+            acc = 0.0
+            for j in range(width):
+                dxhat = ((1.0 if j == k else 0.0) - 1.0 / width) / sigma - xhat[j] * xhat[k] / (width * sigma)
+                acc += float(g[r, j]) * float(gamma[j]) * dxhat
+            gx[r, k] = acc
+    return y, gx, ggamma, gbeta
+
+
+def softmax_grad_naive(row, grow):
+    """Input gradient of a softmax row through its Jacobian
+    ``∂y_j/∂x_k = y_j·(δ_jk − y_k)``."""
+    y = softmax_naive([float(v) for v in row])
+    return [
+        sum(float(grow[j]) * y[j] * ((1.0 if j == k else 0.0) - y[k]) for j in range(len(y)))
+        for k in range(len(y))
+    ]
+
+
+def cross_entropy_naive(logits, labels):
+    """Mean of ``−log softmax(z)[label]`` over every (image, position) of
+    logits (N, K, H, W), and its gradient ``(p − onehot)/count``."""
+    n, k, h, w = logits.shape
+    count = n * h * w
+    loss, grad = 0.0, np.zeros((n, k, h, w))
+    for img in range(n):
+        for i in range(h):
+            for j in range(w):
+                p = softmax_naive([float(logits[img, c, i, j]) for c in range(k)])
+                lab = int(labels[img, i, j])
+                loss -= math.log(p[lab])
+                for c in range(k):
+                    grad[img, c, i, j] = (p[c] - (1.0 if c == lab else 0.0)) / count
+    return loss / count, grad
+
+
 def window_attention_naive(windows, gamma, beta, w1, b1, w2, b2, eps=1e-5):
     """Straight-line scalar recomputation of the attention pipeline for one
     stack shaped (num_windows, p, p, c): channel mean, flatten, layer norm,

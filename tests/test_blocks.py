@@ -240,6 +240,22 @@ class TestInteractionBranch:
         with pytest.raises(ConfigError):
             InteractionBranch(2, "diagonal", rng=rng_(24))
 
+    def test_patch_size_one_local_branch_is_identity(self):
+        # a softmax over a one-position window is exactly 1, so at P=1 the
+        # local branch returns its input bitwise whatever its weights, and
+        # its attention parameters get all-zero gradients
+        branch = InteractionBranch(1, "local", rng=rng_(25))
+        x = Tensor(rng_(26).standard_normal((2, 5, 7, 3)).astype(np.float32), requires_grad=True)
+        for shift in (0.0, 5.0):
+            for _, p in branch.named_parameters():
+                p.data += shift + rng_(27).standard_normal(p.shape).astype(np.float32)
+                p.zero_grad()
+            out = branch(x)
+            assert out.data.tobytes() == x.data.tobytes()
+            backward(sum_(out * rand(out.shape, seed=28)))
+            for name, p in branch.named_parameters():
+                assert p.grad is not None and not p.grad.any(), name
+
 
 class TestSegnetrBlock:
     def test_without_mode_equals_mbconv(self):

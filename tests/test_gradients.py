@@ -280,6 +280,7 @@ def _op_inventory(rng):
         ("batch_norm eval", AFFINE, lambda x, g, b: batch_norm(x, g, b, eval_rm, eval_rv, False), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
         ("conv2d 1x1", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(2, 3, 4, 5), t(4, 3, 1, 1, scale=0.5), t(4)]),
         ("conv2d 1x1 strided", AFFINE, lambda x, w: conv2d(x, w, stride=2), [t(3, 3, 5, 6), t(4, 3, 1, 1, scale=0.5)]),
+        ("conv2d 1x1 on a 1x1 map", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(3, 5, 1, 1), t(4, 5, 1, 1, scale=0.5), t(4)]),
         ("conv_norm eval", GENERAL, _conv_norm_eval(eval_rm, eval_rv), [t(2, 3, 5, 6), t(4, 3, 3, 3, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
     ]
 

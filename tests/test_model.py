@@ -6,7 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from segnetr.autodiff import Tensor
+from segnetr.autodiff import Tensor, cross_entropy
+from segnetr.autodiff.tensor import active_tape
+from segnetr.blocks import SegnetrBlock
 from segnetr.costs import count_params
 from segnetr.errors import ConfigError, ShapeError
 from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build
@@ -149,6 +151,31 @@ def test_named_state_names_and_order_are_fixed():
     assert names[:3] == ["stem.weight", "stem_norm.gamma", "stem_norm.beta"]
     digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
     assert digest == "c85399e76ab25ca0887d4bf2c1a43c91aa3f9b396238e5e14b3fd9abdd1f4539"
+
+
+class TestOpCounts:
+    """Recorded graph nodes of one training forward plus its loss.  Each of
+    linear, layer norm, softmax and cross-entropy is one node; a change that
+    composes one of them from primitives again fails here by name."""
+
+    def _tape_length(self, model, x, labels):
+        active_tape().clear()
+        try:
+            cross_entropy(model.train()(x), labels)
+            return len(active_tape())
+        finally:
+            active_tape().clear()
+
+    def test_segnetr_block_forward_and_loss(self):
+        block = SegnetrBlock(4, 2, "parallel", rng=np.random.default_rng(11), dtype=np.float64)
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 8, 8)), requires_grad=True)
+        labels = np.random.default_rng(3).integers(0, 4, size=(2, 8, 8))
+        assert self._tape_length(block, x, labels) == 60
+
+    def test_toy_model_forward_and_loss(self):
+        cfg = toy_config()
+        labels = np.random.default_rng(4).integers(0, 2, size=(2, cfg.resolution, cfg.resolution))
+        assert self._tape_length(build(cfg), rand_input(res=cfg.resolution, seed=10), labels) == 557
 
 
 class TestMiniUnet:

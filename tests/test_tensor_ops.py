@@ -27,19 +27,25 @@ from segnetr.autodiff import (
     transpose,
 )
 from segnetr.autodiff import batch_norm, sum_
+from segnetr.autodiff.functional import _interp_matrix
 from segnetr.autodiff.tensor import active_tape, mul
 from segnetr.errors import ShapeError, ValidationError
 
 from .oracles import (
     bilinear2x_naive,
     conv2d_naive,
+    cross_entropy_naive,
     depthwise_grad_naive,
     gelu_tanh_reference,
     gelu_two_buffer,
+    layer_norm_naive,
+    linear_naive,
     matmul_naive,
     sigmoid_reference,
     silu_reference,
     silu_two_buffer,
+    softmax_grad_naive,
+    softmax_naive,
 )
 
 
@@ -119,6 +125,15 @@ class TestSoftmax:
         assert np.all(np.isfinite(y.data))
         np.testing.assert_allclose(y.data, [0.5, 0.5])
 
+    @pytest.mark.parametrize("row, want", [([-1000.0, -1000.0], [0.5, 0.5]), ([1000.0, -1000.0], [1.0, 0.0])])
+    def test_extreme_inputs_stay_finite(self, row, want):
+        x = Tensor(np.array(row, dtype=np.float32), requires_grad=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = softmax(x, axis=-1)
+            backward(sum_(y * Tensor(np.array([1.0, -2.0], dtype=np.float32))))
+        np.testing.assert_allclose(y.data, want)
+        assert np.all(np.isfinite(x.grad))
+
     def test_closed_form_quarter(self):
         y = softmax(t64([0.0, math.log(3.0)]), axis=-1)
         np.testing.assert_allclose(y.data, [0.25, 0.75], rtol=1e-12)
@@ -129,6 +144,79 @@ class TestSoftmax:
         y = softmax(Tensor(np.asarray(row, dtype=np.float32)), axis=-1)
         assert abs(float(y.data.sum()) - 1.0) <= 1e-6
         assert np.all(y.data > 0) and np.all(y.data < 1.0 + 1e-6)
+
+
+def _rows(a):
+    return a.reshape(-1, a.shape[-1])
+
+
+class TestFusedOps:
+    """linear, layer_norm, softmax and cross_entropy are one recorded op each
+    with a hand-written rule: forward values and every input and parameter
+    gradient against the float64 scalar oracles."""
+
+    TOL = {np.float64: 1e-12, np.float32: 2e-5}
+
+    def _run(self, op, arrays, dtype, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        y = op(*inputs)
+        g = np.asarray(rng.standard_normal(y.shape)).astype(dtype)
+        backward(sum_(y * Tensor(g)))
+        assert len(active_tape()) == 0
+        assert y.data.dtype == dtype and all(t.grad.dtype == dtype for t in inputs)
+        return y.data, g, [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shape", [(5,), (4, 5), (2, 3, 5)])
+    def test_linear(self, shape, bias, dtype):
+        rng = np.random.default_rng(90)
+        x, w, b = rng.standard_normal(shape), rng.standard_normal((4, 5)), rng.standard_normal(4)
+        arrays = [x, w, b] if bias else [x, w]
+        y, g, grads = self._run(linear, arrays, dtype, 91)
+        want_y, gx, gw, gb = linear_naive(_rows(x.astype(dtype)), w.astype(dtype),
+                                          b.astype(dtype) if bias else None, _rows(g))
+        tol = self.TOL[dtype]
+        assert y.shape == shape[:-1] + (4,)
+        np.testing.assert_allclose(_rows(y), want_y, rtol=0, atol=tol)
+        np.testing.assert_allclose(_rows(grads[0]), gx, rtol=0, atol=tol)
+        np.testing.assert_allclose(grads[1], gw, rtol=0, atol=tol)
+        if bias:
+            np.testing.assert_allclose(grads[2], gb, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm(self, dtype):
+        rng = np.random.default_rng(92)
+        x = rng.standard_normal((3, 2, 7)) * 2.0 + 0.5
+        gamma, beta = rng.standard_normal(7) * 0.3 + 1.0, rng.standard_normal(7) * 0.3
+        y, g, (gx, ggamma, gbeta) = self._run(layer_norm, [x, gamma, beta], dtype, 93)
+        want = layer_norm_naive(_rows(x.astype(dtype)), gamma.astype(dtype), beta.astype(dtype), _rows(g))
+        for got, ref in zip((y, gx, ggamma, gbeta), want):
+            np.testing.assert_allclose(_rows(got) if got.ndim > 1 else got, ref, rtol=0, atol=self.TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax(self, axis, dtype):
+        x = np.random.default_rng(94).standard_normal((3, 4, 6)) * 3.0
+        y, g, (gx,) = self._run(lambda t: softmax(t, axis=axis), [x], dtype, 95)
+        xs, ys, gs, gxs = (np.moveaxis(a, axis, -1) for a in (x.astype(dtype), y, g, gx))
+        for idx in np.ndindex(*xs.shape[:-1]):
+            np.testing.assert_allclose(ys[idx], softmax_naive([float(v) for v in xs[idx]]),
+                                       rtol=0, atol=self.TOL[dtype])
+            np.testing.assert_allclose(gxs[idx], softmax_grad_naive(xs[idx], gs[idx]),
+                                       rtol=0, atol=self.TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy(self, dtype):
+        rng = np.random.default_rng(96)
+        logits = rng.standard_normal((2, 3, 4, 5)) * 2.0
+        labels = rng.integers(0, 3, size=(2, 4, 5))
+        loss, g, (gz,) = self._run(lambda t: cross_entropy(t, labels), [logits], dtype, 97)
+        want_loss, want_grad = cross_entropy_naive(logits.astype(dtype), labels)
+        assert loss.shape == ()
+        np.testing.assert_allclose(loss, want_loss, rtol=0, atol=self.TOL[dtype])
+        np.testing.assert_allclose(gz, want_grad * float(g), rtol=0, atol=self.TOL[dtype])
 
 
 class TestConv:
@@ -352,6 +440,19 @@ def _inplace_cases():
         ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
         ("mul broadcast gate", mul, [(4, 8, 5, 5), (4, 8, 1, 1)]),
         ("mul 0-d scalar", mul, [(), (4, 8, 5, 5)]),
+        *_fused_cases(),
+    ]
+
+
+def _fused_cases():
+    """(name, op, input shapes) of the single-op linear, layer norm, softmax
+    and cross-entropy."""
+    labels = np.random.default_rng(74).integers(0, 3, size=(2, 4, 5))
+    return [
+        ("linear", linear, [(2, 3, 6), (5, 6), (5,)]),
+        ("layer_norm", layer_norm, [(2, 3, 6), (6,), (6,)]),
+        ("softmax", lambda x: softmax(x, axis=-1), [(2, 3, 6)]),
+        ("cross_entropy", lambda x: cross_entropy(x, labels), [(2, 3, 4, 5)]),
     ]
 
 
@@ -369,7 +470,7 @@ class TestWriteOnce:
         # the op's own rule, called directly, leaves its gradient and inputs alone
         out, saved, rule = active_tape().entries[-1]
         assert out is y and saved == tuple(inputs)
-        g = rng.standard_normal(y.shape)
+        g = np.asarray(rng.standard_normal(y.shape))
         g_before = g.tobytes()
         rule(g)
         assert g.tobytes() == g_before
@@ -417,10 +518,12 @@ def _poison_cases():
         ("depthwise 4x64x56x56", lambda x, w: conv2d(x, w, padding=1, groups=64), [(4, 64, 56, 56), (64, 1, 3, 3)]),
         ("conv2d 3x3", lambda x, w: conv2d(x, w, padding=1), [(2, 4, 5, 6), (3, 4, 3, 3)]),
         ("conv2d 1x1", lambda x, w: conv2d(x, w), [(2, 4, 5, 6), (3, 4, 1, 1)]),
+        ("conv2d 1x1 on a 1x1 map", lambda x, w: conv2d(x, w), [(4, 8, 1, 1), (6, 8, 1, 1)]),
         ("batch_norm train", lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [(2, 4, 5, 6), (4,), (4,)]),
         ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
         ("silu", silu, [(2, 4, 5, 6)]),
         ("mul broadcast", mul, [(4, 8, 5, 5), (4, 8, 1, 1)]),
+        *_fused_cases(),
     ]
 
 
@@ -461,6 +564,17 @@ class TestBilinear:
         got = bilinear_upsample2x(Tensor(ramp.reshape(1, 1, 2, 2))).data[0, 0]
         np.testing.assert_allclose(got, bilinear2x_naive(ramp), atol=1e-6)
 
+    def test_interpolation_matrices_are_cached_read_only(self):
+        first = _interp_matrix(10, 5, np.dtype(np.float32))
+        assert _interp_matrix(10, 5, np.dtype(np.float32)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 2.0
+        ramp = np.arange(5.0, dtype=np.float32)
+        for _ in range(2):
+            got = bilinear_upsample2x(Tensor(np.broadcast_to(ramp, (1, 1, 5, 5)).copy())).data[0, 0]
+            np.testing.assert_allclose(got, bilinear2x_naive(np.broadcast_to(ramp, (5, 5))), atol=1e-6)
+
     def test_random_matches_per_pixel_oracle(self):
         arr = np.random.default_rng(12).standard_normal((3, 5))
         got = bilinear_upsample2x(Tensor(arr.reshape(1, 1, 3, 5))).data[0, 0]
@@ -490,6 +604,17 @@ class TestCrossEntropy:
                 row = logits[0, :, i, j]
                 acc -= math.log(math.exp(row[labels[0, i, j]] - row.max()) / np.exp(row - row.max()).sum())
         np.testing.assert_allclose(loss, acc / 4.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extreme_logits_stay_finite(self, dtype):
+        # a right and a wrong confident pixel: loss ≈ (0 + 2e4)/2, gradients ±0.5
+        logits = np.array([1e4, -1e4, -1e4, 1e4], dtype=dtype).reshape(1, 2, 1, 2)
+        x = Tensor(logits, requires_grad=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            loss = cross_entropy(x, np.array([[[0, 0]]]))
+            backward(loss)
+        np.testing.assert_allclose(float(loss.data), 1e4, rtol=1e-6)
+        np.testing.assert_allclose(x.grad.reshape(2, 2), [[0.0, -0.5], [0.0, 0.5]], atol=1e-7)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValidationError):
