@@ -418,27 +418,32 @@ def batch_norm(
         )
     n, m = x.shape[0], x.data.size // c
     mu = np.add.reduce(x.data, axis=axes, keepdims=True) / m
-    xhat = x.data - mu
-    xhat3 = xhat.reshape(n, c, -1)
-    var = np.einsum("nck,nck->c", xhat3, xhat3) / m
+    y = x.data - mu
+    d3 = y.reshape(n, c, -1)
+    var = np.einsum("nck,nck->c", d3, d3) / m
     running_mean *= 1.0 - momentum
     running_mean += momentum * mu.reshape(c)
     running_var *= 1.0 - momentum
     running_var += momentum * var
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
-    xhat *= inv_std
-    y = gamma4 * xhat
-    y += beta4  # in place: no second full-size temporary at the peak
+    # y = (x − μ)·inv_std·γ + β, built in the x − μ buffer: no x̂ outlives
+    # the forward, the rule recomputes it from the input the tape keeps
+    y *= inv_std
+    y *= gamma4
+    y += beta4
 
     def bw(g):
         # dx = g·k − k·dβ/m − x̂·(k·dγ/m) with k = γ/√(var+ε): two full-size
-        # arrays, the result and the x̂ product
+        # arrays, the result and the recomputed x̂
+        xhat = x.data - mu
+        xhat *= inv_std
         dbeta = g.sum(axis=axes)
-        dgamma = np.einsum("nck,nck->c", g.reshape(n, c, -1), xhat3)
+        dgamma = np.einsum("nck,nck->c", g.reshape(n, c, -1), xhat.reshape(n, c, -1))
         k = gamma4 * inv_std
         dx = g * k
         dx -= k * (dbeta.reshape(1, c, 1, 1) / m)
-        dx -= xhat * (k * (dgamma.reshape(1, c, 1, 1) / m))
+        xhat *= k * (dgamma.reshape(1, c, 1, 1) / m)
+        dx -= xhat
         return dx, dgamma, dbeta
 
     return _make_output(y, (x, gamma, beta), bw)

@@ -218,6 +218,10 @@ def backward(loss: Tensor) -> None:
     as it is handled: the entry's output, rule and incoming gradient are
     dropped before the next rule runs, so an op's saved arrays are freed as
     soon as its gradient has been taken.  The tape is empty afterwards.
+
+    A recorded loss whose entry is no longer on the tape (an earlier
+    ``backward`` consumed its graph) raises ``ContractError`` and leaves the
+    tape as it is, instead of returning with no gradients.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -228,8 +232,16 @@ def backward(loss: Tensor) -> None:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         _TAPE.clear()
         return
-    flowing[id(loss)] = seed
     entries = _TAPE.entries
+    for out, _, _ in reversed(entries):
+        if out is loss:
+            break
+    else:
+        raise ContractError(
+            "backward: the loss's graph is no longer on the tape; an earlier backward "
+            "consumed it (build the loss again to take its gradient)"
+        )
+    flowing[id(loss)] = seed
     while entries:
         out, inputs, backward_fn = entries.pop()
         g = flowing.pop(id(out), None)

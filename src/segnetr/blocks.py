@@ -1,11 +1,12 @@
 """Learnable building blocks.
 
 Conventions used throughout: convolutional trunk tensors are NCHW; the
-layout-facing pieces (window branches, patch merging, IRSC) work on HWC with
-explicit transposes at the boundary.  Weights are Kaiming-uniform (fan-in),
-biases and norm shifts start at zero, norm scales at one; every constructor
-draws from the caller's generator in declaration order, so a seed fixes the
-whole model.
+layout-facing pieces (patch merging, IRSC) work on HWC with explicit
+transposes at the boundary, and the window branches work on the block's
+channel-pooled map viewed as (N, H, W, 1).  Weights are Kaiming-uniform
+(fan-in), biases and norm shifts start at zero, norm scales at one; every
+constructor draws from the caller's generator in declaration order, so a
+seed fixes the whole model.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ class MBConv(Module):
 
 
 class WindowAttention(Module):
-    """Per-window spatial attention: mean over channels, flatten to the
-    window area, LayerNorm, two-layer FFN (hidden 2×area, GELU), softmax.
-    Returns one probability row per window."""
+    """Per-window spatial attention over a channel-pooled map: flatten each
+    one-channel window to its area, LayerNorm, two-layer FFN (hidden
+    2×area, GELU), softmax.  Returns one probability row per window."""
 
     HIDDEN_RATIO = 2
 
@@ -167,19 +168,20 @@ class WindowAttention(Module):
         p = ws.grid.p
         if p * p != self.area:
             raise ShapeError(f"window area {p * p} does not match FFN width {self.area}")
+        if ws.grid.c != 1:
+            raise ShapeError(f"window attention takes a pooled map, got {ws.grid.c} channels")
         lead = ws.windows.shape[:-4]
-        pooled = mean(ws.windows, axis=-1)
-        flat = reshape(pooled, lead + (ws.grid.num_windows, self.area))
+        flat = reshape(ws.windows, lead + (ws.grid.num_windows, self.area))
         return F.softmax(self.fc2(F.gelu(self.fc1(self.norm(flat)))), axis=-1)
 
 
 class InteractionBranch(Module):
-    """Windowed attention branch over an HWC tensor.
+    """Windowed attention gate over a channel-pooled (..., H, W, 1) map.
 
     ``kind="local"`` partitions into contiguous P×P windows; ``kind="global"``
     displaces patches first and uses 2P×2P windows (padding as needed).
-    Attention is rescaled by the window area, so uniform attention is an
-    exact identity on the values.
+    Returns the per-position gate: attention rescaled by the window area and
+    put back in place, so uniform attention gives a gate of exactly 1.
     """
 
     def __init__(self, p: int, kind: str, *, rng, dtype=np.float32, parity: str = "cross"):
@@ -192,18 +194,14 @@ class InteractionBranch(Module):
         self.window = p if kind == "local" else 2 * p
         self.attention = WindowAttention(self.window * self.window, rng=rng, dtype=dtype)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, pooled: Tensor) -> Tensor:
         if self.kind == "local":
-            ws = local_partition(x, self.p, pad=True)
+            ws = local_partition(pooled, self.p, pad=True)
         else:
-            ws = global_partition(x, self.p, pad=True, parity=self.parity)
+            ws = global_partition(pooled, self.p, pad=True, parity=self.parity)
         attn = self.attention(ws)
-        lead = attn.shape[:-2]
-        attn4 = reshape(attn, lead + (ws.grid.num_windows, self.window, self.window, 1))
-        weighted = ws.windows * (attn4 * float(self.window * self.window))
-        out_stack = WindowStack(
-            weighted, ws.grid, ws.displaced, ws.spec, ws.pad_before, ws.orig_hw
-        )
+        gate = reshape(attn, ws.windows.shape) * float(self.window * self.window)
+        out_stack = WindowStack(gate, ws.grid, ws.displaced, ws.spec, ws.pad_before, ws.orig_hw)
         return global_reverse(out_stack) if ws.displaced else local_reverse(out_stack)
 
 
@@ -218,9 +216,15 @@ def hwc_to_nchw(x: Tensor) -> Tensor:
 class SegnetrBlock(Module):
     """MBConv followed by the configured local/global interaction.
 
-    Fusion weights are learnable scalars starting at 0.5; series mode runs
-    the local branch first and feeds its fused result to the global branch,
-    keeping the MBConv output as the residual base.
+    Each branch re-weights positions by a gate computed from the channel
+    mean ``P`` of the MBConv output ``m``, so the block pools once and
+    returns ``m ⊙ f`` with one per-position factor ``f``:
+    ``1 + α_l·g_l(P) + α_g·g_g(P)`` in parallel mode (one term in local or
+    global mode).  Series mode feeds the local result ``m ⊙ f_l``,
+    ``f_l = 1 + α_l·g_l(P)``, to the global branch, whose channel mean is
+    ``P·f_l``, keeping ``m`` as the residual base:
+    ``f = 1 + α_g·f_l·g_g(P·f_l)``.  Fusion weights are learnable scalars
+    starting at 0.5.
     """
 
     def __init__(
@@ -249,17 +253,19 @@ class SegnetrBlock(Module):
         m = self.mbconv(x)
         if self.mode == "without":
             return m
-        h = nchw_to_hwc(m)
+        n, _, h, w = m.shape
+        pooled = reshape(mean(m, axis=1), (n, h, w, 1))
         if self.mode == "local":
-            out = h + self.alpha_local * self.local_branch(h)
+            f = 1 + self.alpha_local * self.local_branch(pooled)
         elif self.mode == "global":
-            out = h + self.alpha_global * self.global_branch(h)
+            f = 1 + self.alpha_global * self.global_branch(pooled)
         elif self.mode == "parallel":
-            out = h + self.alpha_local * self.local_branch(h) + self.alpha_global * self.global_branch(h)
+            f = (1 + self.alpha_local * self.local_branch(pooled)
+                 + self.alpha_global * self.global_branch(pooled))
         else:
-            inner = h + self.alpha_local * self.local_branch(h)
-            out = h + self.alpha_global * self.global_branch(inner)
-        return hwc_to_nchw(out)
+            f_l = 1 + self.alpha_local * self.local_branch(pooled)
+            f = 1 + self.alpha_global * f_l * self.global_branch(pooled * f_l)
+        return m * reshape(f, (n, 1, h, w))
 
 
 def irsc_fuse(

@@ -189,26 +189,27 @@ def _walk_mbconv(walk: _Walk, name: str, mod, c: int, h: int, w: int):
     walk.act(f"{name}.residual", c * h * w)
 
 
-def _walk_branch(walk: _Walk, name: str, mod, c: int, h: int, w: int):
+def _walk_branch(walk: _Walk, name: str, mod, h: int, w: int):
+    """One window gate over the block's pooled (h, w) map."""
     win = mod.window
-    if mod.kind == "local":
-        ph, pw = _ceil_to(h, win), _ceil_to(w, win)
-        walk.layout(f"{name}.partition", attn=True)
-    else:
-        ph, pw = _ceil_to(h, win), _ceil_to(w, win)
+    if mod.kind == "global":
         walk.layout(f"{name}.displace", attn=True)
-        walk.layout(f"{name}.partition", attn=True)
-    nw = (ph // win) * (pw // win)
+    walk.layout(f"{name}.partition", attn=True)
+    nw = (_ceil_to(h, win) // win) * (_ceil_to(w, win) // win)
     area = win * win
     attn = mod.attention
-    walk.act(f"{name}.pool", nw * area * c, attn=True)
     walk.norm(f"{name}.norm", attn.norm, nw * area, attn=True)
     walk.linear(f"{name}.fc1", attn.fc1, nw, attn=True)
     walk.act(f"{name}.gelu", nw * attn.HIDDEN_RATIO * area, attn=True)
     walk.linear(f"{name}.fc2", attn.fc2, nw, attn=True)
     walk.act(f"{name}.softmax", nw * area, attn=True)
-    walk.act(f"{name}.weight", nw * area * (c + 1), attn=True)
+    walk.act(f"{name}.weight", nw * area, attn=True)
     walk.layout(f"{name}.reverse", attn=True)
+
+
+# map-sized ops forming the factor f: α·g and 1 + … per branch; series mode
+# adds the products P·f_l and f_l·g_g
+_FUSE_MAP_OPS = {"local": 2, "global": 2, "parallel": 4, "series": 6}
 
 
 def _walk_block(walk: _Walk, name: str, mod, c: int, h: int, w: int):
@@ -216,17 +217,16 @@ def _walk_block(walk: _Walk, name: str, mod, c: int, h: int, w: int):
     mode = mod.mode
     if mode == "without":
         return
+    walk.act(f"{name}.pool", c * h * w, attn=True)
     fuse_params = 0
-    fuse_eltops = 0
     if mode in ("local", "series", "parallel"):
-        _walk_branch(walk, f"{name}.local", mod.local_branch, c, h, w)
+        _walk_branch(walk, f"{name}.local", mod.local_branch, h, w)
         fuse_params += 1
-        fuse_eltops += 2 * c * h * w
     if mode in ("global", "series", "parallel"):
-        _walk_branch(walk, f"{name}.global", mod.global_branch, c, h, w)
+        _walk_branch(walk, f"{name}.global", mod.global_branch, h, w)
         fuse_params += 1
-        fuse_eltops += 2 * c * h * w
-    walk.add(f"{name}.fuse", fuse_params, 0, fuse_eltops)
+    walk.add(f"{name}.fuse", fuse_params, 0, _FUSE_MAP_OPS[mode] * h * w)
+    walk.act(f"{name}.gate", c * h * w)
 
 
 def _walk_double_conv(walk: _Walk, name: str, mod, c: int, h: int, w: int):

@@ -1,4 +1,4 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and helpers.
 
 The acceptance tests record one verdict line per criterion in
 CRITERION_LINES; the terminal-summary hook replays them after the run,
@@ -6,7 +6,12 @@ outside pytest's output capture, so the full pass/fail ledger is visible
 in a plain ``pytest -v`` log.
 """
 
+import types
+
 import numpy as np
+
+from segnetr.autodiff.module import Parameter
+from segnetr.autodiff.tensor import Tensor, active_tape
 
 CRITERION_LINES: list[str] = []
 
@@ -34,3 +39,58 @@ def perturb_state(model, seed: int):
         else:
             arr += (0.1 * rng.standard_normal(arr.shape)).astype(arr.dtype)
     return model
+
+
+def _root(arr: np.ndarray) -> np.ndarray:
+    """The array that owns ``arr``'s memory (``arr`` itself if not a view)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def closure_arrays(rule) -> list:
+    """Arrays a backward rule keeps alive through its closure cells: bare
+    arrays, tensors' data, either inside a tuple or list, and the same held
+    by a function in a cell (a kernel's own backward, say)."""
+    found, pending, visited = [], [rule], set()
+    while pending:
+        fn = pending.pop()
+        if id(fn) in visited:
+            continue
+        visited.add(id(fn))
+        for cell in fn.__closure__ or ():
+            try:
+                value = cell.cell_contents
+            except ValueError:  # an empty cell
+                continue
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(item, Tensor):
+                    item = item.data
+                if isinstance(item, np.ndarray):
+                    found.append(item)
+                elif isinstance(item, types.FunctionType):
+                    pending.append(item)
+    return found
+
+
+def graph_saved_bytes() -> int:
+    """Bytes of the distinct non-parameter buffers the pending graph keeps
+    alive: every tape entry's output and inputs and its rule's closure
+    cells.  Views count once, as the array that owns their memory;
+    parameters and arrays viewing them are left out."""
+    entries = active_tape().entries
+    params, seen, total = set(), set(), 0
+    for _, inputs, _ in entries:
+        for t in inputs:
+            if isinstance(t, Parameter):
+                params.add(id(_root(t.data)))
+    for out, inputs, rule in entries:
+        arrays = [out.data]
+        arrays += [t.data for t in inputs if not isinstance(t, Parameter)]
+        arrays += closure_arrays(rule)
+        for arr in arrays:
+            root = _root(arr)
+            if id(root) not in params and id(root) not in seen:
+                seen.add(id(root))
+                total += root.nbytes
+    return total

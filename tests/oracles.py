@@ -285,23 +285,29 @@ def window_attention_naive(windows, gamma, beta, w1, b1, w2, b2, eps=1e-5):
 
 def branch_naive(x, p, win, gamma, beta, w1, b1, w2, b2, parity="cross", displaced=False):
     """Scalar oracle for a whole interaction branch on one (h, w, c) tensor:
-    (optionally displace), window at ``win``, attend, rescale by the area,
-    weight values, reverse."""
+    (optionally displace), zero-pad to a multiple of ``win`` (centred, the
+    odd pixel after), window, attend, rescale by the area, weight values,
+    crop back, (un-displace)."""
     src = displace_naive(x, p, parity) if displaced else x
     h, w, c = src.shape
-    grid_cols = w // win
-    num = (h // win) * grid_cols
+    ph, pw = (-h) % win, (-w) % win
+    top, left = ph // 2, pw // 2
+    hp, wp = h + ph, w + pw
+    padded = np.zeros((hp, wp, c), dtype=np.float64)
+    padded[top : top + h, left : left + w] = src
+    grid_cols = wp // win
+    num = (hp // win) * grid_cols
     windows = np.zeros((num, win, win, c), dtype=np.float64)
-    for i in range(h):
-        for j in range(w):
+    for i in range(hp):
+        for j in range(wp):
             wi, off = window_of(i, j, win, grid_cols)
-            windows[wi, off // win, off % win] = src[i, j]
+            windows[wi, off // win, off % win] = padded[i, j]
     attn = window_attention_naive(windows, gamma, beta, w1, b1, w2, b2)
     out = np.zeros_like(src)
     area = win * win
     for i in range(h):
         for j in range(w):
-            wi, off = window_of(i, j, win, grid_cols)
+            wi, off = window_of(i + top, j + left, win, grid_cols)
             out[i, j] = src[i, j] * attn[wi, off] * area
     if displaced:
         inv = np.empty_like(out)
@@ -309,6 +315,46 @@ def branch_naive(x, p, win, gamma, beta, w1, b1, w2, b2, parity="cross", displac
         for (r, cc), (r1, c1) in dest.items():
             inv[r * p : (r + 1) * p, cc * p : (cc + 1) * p] = out[r1 * p : (r1 + 1) * p, c1 * p : (c1 + 1) * p]
         return inv
+    return out
+
+
+def branch_weights(branch):
+    """The six attention arrays ``branch_naive`` takes after ``win``."""
+    wa = branch.attention
+    return (
+        wa.norm.gamma.data, wa.norm.beta.data,
+        wa.fc1.weight.data, wa.fc1.bias.data,
+        wa.fc2.weight.data, wa.fc2.bias.data,
+    )
+
+
+def block_interaction_naive(block, m):
+    """The interaction a ``SegnetrBlock`` applies to its MBConv output ``m``
+    (NCHW), composed from ``branch_naive`` image by image in the residual
+    form ``h + α·branch(h)``; series mode nests the local result inside the
+    global branch."""
+    def local(v):
+        br = block.local_branch
+        return branch_naive(v, br.p, br.window, *branch_weights(br))
+
+    def global_(v):
+        br = block.global_branch
+        return branch_naive(v, br.p, br.window, *branch_weights(br), displaced=True)
+
+    out = np.empty_like(m, dtype=np.float64)
+    for img in range(m.shape[0]):
+        h = np.asarray(m[img], dtype=np.float64).transpose(1, 2, 0)
+        if block.mode == "local":
+            res = h + float(block.alpha_local.data) * local(h)
+        elif block.mode == "global":
+            res = h + float(block.alpha_global.data) * global_(h)
+        elif block.mode == "parallel":
+            res = (h + float(block.alpha_local.data) * local(h)
+                   + float(block.alpha_global.data) * global_(h))
+        else:
+            inner = h + float(block.alpha_local.data) * local(h)
+            res = h + float(block.alpha_global.data) * global_(inner)
+        out[img] = res.transpose(2, 0, 1)
     return out
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from segnetr.autodiff import Tensor, backward, grad_check, sum_
+from segnetr.autodiff import Tensor, backward, grad_check, mean, sum_
 from segnetr.autodiff.tensor import no_grad
 from segnetr.blocks import (
     BatchNorm2d,
@@ -12,17 +12,17 @@ from segnetr.blocks import (
     InteractionBranch,
     SegnetrBlock,
     WindowAttention,
-    hwc_to_nchw,
     conv_norm,
     irsc_fuse,
-    nchw_to_hwc,
 )
 from segnetr.costs import count_params
 from segnetr.errors import ConfigError, ShapeError
 from segnetr.layout import local_partition
 
 from .oracles import (
+    block_interaction_naive,
     branch_naive,
+    branch_weights,
     patch_merge_naive,
     patch_reverse_naive,
     window_attention_naive,
@@ -157,23 +157,30 @@ class TestConvNorm:
         assert (norm.running_mean.tobytes(), norm.running_var.tobytes()) == saved
 
 
+def pool(x: Tensor) -> Tensor:
+    """Channel mean of an (..., H, W, C) tensor, kept as a one-channel map."""
+    return mean(x, axis=-1, keepdims=True)
+
+
 class TestWindowAttention:
     def test_constant_window_gives_uniform_rows(self):
         wa = WindowAttention(4, rng=rng_(8))
-        ws = local_partition(Tensor(np.full((4, 4, 3), 2.0, dtype=np.float32)), 2)
+        ws = local_partition(Tensor(np.full((4, 4, 1), 2.0, dtype=np.float32)), 2)
         np.testing.assert_allclose(wa(ws).data, 0.25, atol=1e-7)
 
     def test_singleton_window_is_one(self):
         wa = WindowAttention(1, rng=rng_(9))
-        ws = local_partition(rand((3, 3, 2), seed=10), 1)
+        ws = local_partition(pool(rand((3, 3, 2), seed=10)), 1)
         np.testing.assert_array_equal(wa(ws).data, np.ones((9, 1), dtype=np.float32))
 
     def test_matches_scalar_oracle(self):
+        # the oracle takes the channel mean inside each window; the module
+        # takes windows of the map pooled first
         wa = WindowAttention(4, rng=rng_(11), dtype=np.float64)
-        ws = local_partition(rand((4, 6, 3), seed=12, dtype=np.float64), 2)
-        got = wa(ws).data
+        x = rand((4, 6, 3), seed=12, dtype=np.float64)
+        got = wa(local_partition(pool(x), 2)).data
         want = window_attention_naive(
-            ws.windows.data,
+            local_partition(x, 2).windows.data,
             wa.norm.gamma.data, wa.norm.beta.data,
             wa.fc1.weight.data, wa.fc1.bias.data,
             wa.fc2.weight.data, wa.fc2.bias.data,
@@ -182,7 +189,7 @@ class TestWindowAttention:
 
     def test_rows_sum_to_one(self):
         wa = WindowAttention(16, rng=rng_(13))
-        ws = local_partition(rand((8, 8, 5), seed=14), 4)
+        ws = local_partition(pool(rand((8, 8, 5), seed=14)), 4)
         sums = wa(ws).data.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
@@ -191,6 +198,11 @@ class TestWindowAttention:
         with pytest.raises(ShapeError):
             wa(local_partition(rand((9, 9, 1), seed=16), 3))
 
+    def test_multichannel_windows_rejected(self):
+        wa = WindowAttention(4, rng=rng_(15))
+        with pytest.raises(ShapeError, match="pooled map"):
+            wa(local_partition(rand((4, 4, 3), seed=16), 2))
+
     @pytest.mark.parametrize("area", [1, 4, 16, 64, 256])
     def test_param_count_matches_oracle(self, area):
         wa = WindowAttention(area, rng=rng_(16))
@@ -198,43 +210,45 @@ class TestWindowAttention:
 
 
 class TestInteractionBranch:
+    """A branch returns a gate on the pooled map; ``x ⊙ gate`` is the
+    residual term the oracle computes on the full tensor."""
+
     def test_constant_input_is_identity(self):
         for kind in ("local", "global"):
             branch = InteractionBranch(2, kind, rng=rng_(17))
             x = Tensor(np.full((8, 8, 3), 1.5, dtype=np.float32))
-            np.testing.assert_array_equal(branch(x).data, x.data)
+            np.testing.assert_array_equal((x * branch(pool(x))).data, x.data)
 
     def test_whole_image_window_formula(self):
         branch = InteractionBranch(4, "local", rng=rng_(18), dtype=np.float64)
         x = rand((4, 4, 2), seed=19, dtype=np.float64)
-        ws = local_partition(x, 4)
-        attn = branch.attention(ws).data.reshape(4, 4, 1)
-        np.testing.assert_allclose(branch(x).data, x.data * attn * 16.0, rtol=1e-12)
+        attn = branch.attention(local_partition(pool(x), 4)).data.reshape(4, 4, 1)
+        np.testing.assert_allclose((x * branch(pool(x))).data, x.data * attn * 16.0, rtol=1e-12)
+
+    def _check_local(self, shape):
+        branch = InteractionBranch(2, "local", rng=rng_(20), dtype=np.float64)
+        x = rand(shape, seed=21, dtype=np.float64)
+        want = branch_naive(x.data, 2, 2, *branch_weights(branch))
+        np.testing.assert_allclose((x * branch(pool(x))).data, want, atol=1e-9)
+
+    def _check_global(self, shape, p):
+        branch = InteractionBranch(p, "global", rng=rng_(22), dtype=np.float64)
+        x = rand(shape, seed=23, dtype=np.float64)
+        want = branch_naive(x.data, p, 2 * p, *branch_weights(branch), displaced=True)
+        np.testing.assert_allclose((x * branch(pool(x))).data, want, atol=1e-9)
 
     def test_local_matches_scalar_oracle(self):
-        branch = InteractionBranch(2, "local", rng=rng_(20), dtype=np.float64)
-        x = rand((6, 8, 3), seed=21, dtype=np.float64)
-        wa = branch.attention
-        want = branch_naive(
-            x.data, 2, 2,
-            wa.norm.gamma.data, wa.norm.beta.data,
-            wa.fc1.weight.data, wa.fc1.bias.data,
-            wa.fc2.weight.data, wa.fc2.bias.data,
-        )
-        np.testing.assert_allclose(branch(x).data, want, atol=1e-9)
+        self._check_local((6, 8, 3))
 
     def test_global_matches_scalar_oracle(self):
-        branch = InteractionBranch(2, "global", rng=rng_(22), dtype=np.float64)
-        x = rand((8, 8, 3), seed=23, dtype=np.float64)
-        wa = branch.attention
-        want = branch_naive(
-            x.data, 2, 4,
-            wa.norm.gamma.data, wa.norm.beta.data,
-            wa.fc1.weight.data, wa.fc1.bias.data,
-            wa.fc2.weight.data, wa.fc2.bias.data,
-            displaced=True,
-        )
-        np.testing.assert_allclose(branch(x).data, want, atol=1e-9)
+        self._check_global((8, 8, 3), 2)
+
+    def test_padded_local_matches_scalar_oracle(self):
+        self._check_local((5, 7, 3))
+
+    @pytest.mark.parametrize("shape,p", [((6, 10, 3), 2), ((7, 7, 3), 1)])
+    def test_padded_global_matches_scalar_oracle(self, shape, p):
+        self._check_global(shape, p)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -242,19 +256,33 @@ class TestInteractionBranch:
 
     def test_patch_size_one_local_branch_is_identity(self):
         # a softmax over a one-position window is exactly 1, so at P=1 the
-        # local branch returns its input bitwise whatever its weights, and
-        # its attention parameters get all-zero gradients
+        # local gate is 1 and x ⊙ gate is x bitwise whatever the weights,
+        # and the attention parameters get all-zero gradients
         branch = InteractionBranch(1, "local", rng=rng_(25))
         x = Tensor(rng_(26).standard_normal((2, 5, 7, 3)).astype(np.float32), requires_grad=True)
         for shift in (0.0, 5.0):
             for _, p in branch.named_parameters():
                 p.data += shift + rng_(27).standard_normal(p.shape).astype(np.float32)
                 p.zero_grad()
-            out = branch(x)
+            out = x * branch(pool(x))
             assert out.data.tobytes() == x.data.tobytes()
             backward(sum_(out * rand(out.shape, seed=28)))
             for name, p in branch.named_parameters():
                 assert p.grad is not None and not p.grad.any(), name
+
+
+def gates(block, m):
+    """(pooled map P, g_l(·), g_g(·)) of a block as plain arrays."""
+    n, _, h, w = m.shape
+    pooled = m.data.mean(axis=1).reshape(n, h, w, 1)
+
+    def local(v):
+        return block.local_branch(Tensor(v)).data
+
+    def global_(v):
+        return block.global_branch(Tensor(v)).data
+
+    return pooled, local, global_
 
 
 class TestSegnetrBlock:
@@ -273,23 +301,42 @@ class TestSegnetrBlock:
         np.testing.assert_array_equal(block(x).data, block.mbconv(x).data)
 
     def test_parallel_formula(self):
+        # m ⊙ (1 + α_l·g_l(P) + α_g·g_g(P)), in the block's operation order
         block = SegnetrBlock(4, 2, "parallel", rng=rng_(29))
         x = rand((2, 4, 8, 8), seed=30)
         got = block(x)
-        h = nchw_to_hwc(block.mbconv(x))
-        manual = hwc_to_nchw(
-            h + block.alpha_local * block.local_branch(h) + block.alpha_global * block.global_branch(h)
-        )
-        np.testing.assert_array_equal(got.data, manual.data)
+        m = block.mbconv(x)
+        pooled, local, global_ = gates(block, m)
+        a_l, a_g = block.alpha_local.data, block.alpha_global.data
+        f = 1 + a_l * local(pooled) + a_g * global_(pooled)
+        manual = m.data * f.reshape(2, 1, 8, 8)
+        assert got.data.tobytes() == manual.tobytes()
 
     def test_series_formula(self):
+        # m ⊙ (1 + α_g·f_l·g_g(P·f_l)), f_l = 1 + α_l·g_l(P)
         block = SegnetrBlock(4, 2, "series", rng=rng_(31))
         x = rand((2, 4, 8, 8), seed=32)
         got = block(x)
-        h = nchw_to_hwc(block.mbconv(x))
-        inner = h + block.alpha_local * block.local_branch(h)
-        manual = hwc_to_nchw(h + block.alpha_global * block.global_branch(inner))
-        np.testing.assert_array_equal(got.data, manual.data)
+        m = block.mbconv(x)
+        pooled, local, global_ = gates(block, m)
+        a_l, a_g = block.alpha_local.data, block.alpha_global.data
+        f_l = 1 + a_l * local(pooled)
+        f = 1 + a_g * f_l * global_(pooled * f_l)
+        manual = m.data * f.reshape(2, 1, 8, 8)
+        assert got.data.tobytes() == manual.tobytes()
+
+    @pytest.mark.parametrize("mode", ["local", "global", "series", "parallel"])
+    @pytest.mark.parametrize("shape,p", [((2, 4, 8, 8), 2), ((2, 4, 6, 10), 2), ((2, 4, 7, 7), 1)])
+    def test_matches_oracle_composition(self, mode, shape, p):
+        # float64 block against h + α·branch(h) composed from the scalar
+        # branch oracle; (6, 10) and (7, 7) pad their global windows
+        block = SegnetrBlock(4, p, mode, rng=rng_(41), dtype=np.float64)
+        for _, prm in block.named_parameters():
+            prm.data += 0.1 * rng_(42).standard_normal(prm.shape)
+        x = rand(shape, seed=43, dtype=np.float64)
+        got = block(x).data
+        want = block_interaction_naive(block, block.mbconv(x).data)
+        np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_parallel_differs_from_series(self):
         parallel = SegnetrBlock(4, 2, "parallel", rng=rng_(33))

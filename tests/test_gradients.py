@@ -153,6 +153,39 @@ class TestBackward:
         backward(sum_(x))
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
+    def test_consumed_graph_raises(self):
+        # backward(l1) empties the tape, l2's entries included; l2 then has
+        # no graph left, and its backward must say so instead of returning
+        # with every grad still None
+        x = t64(np.ones(3))
+        l1, l2 = sum_(x * x), sum_(x + x)
+        backward(l1)
+        x.zero_grad()
+        with pytest.raises(ContractError, match="no longer on the tape"):
+            backward(l2)
+        assert x.grad is None
+
+    def test_repeated_backward_raises(self):
+        x = t64(np.ones(3))
+        loss = sum_(x * x)
+        backward(loss)
+        with pytest.raises(ContractError):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_raise_leaves_pending_graph_intact(self):
+        x = t64(np.ones(3))
+        stale = sum_(x * x)
+        backward(stale)
+        live = sum_(x * 3.0)
+        pending = len(active_tape())
+        x.zero_grad()
+        with pytest.raises(ContractError):
+            backward(stale)
+        assert len(active_tape()) == pending
+        backward(live)
+        np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+
 
 class TestAdam:
     def test_missing_gradient_leaves_parameter_unchanged(self):

@@ -31,6 +31,7 @@ from segnetr.autodiff.functional import _interp_matrix
 from segnetr.autodiff.tensor import active_tape, mul
 from segnetr.errors import ShapeError, ValidationError
 
+from .conftest import closure_arrays, graph_saved_bytes
 from .oracles import (
     bilinear2x_naive,
     conv2d_naive,
@@ -368,6 +369,20 @@ class TestMeanNorms:
         assert x.grad is not None
         np.testing.assert_array_equal(rm, rm_before)
         np.testing.assert_array_equal(rv, rv_before)
+
+    def test_batch_norm_training_rule_keeps_no_full_size_array_but_its_input(self):
+        # x̂ is recomputed in the rule from the input the tape keeps
+        x = Tensor(np.random.default_rng(17).standard_normal((4, 3, 5, 6)), requires_grad=True)
+        g, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        active_tape().clear()
+        try:
+            y = batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True)
+            (entry,) = active_tape().entries
+            full = [a for a in closure_arrays(entry[2]) if a.size >= x.size]
+            assert len(full) == 1 and full[0] is x.data
+            assert graph_saved_bytes() <= x.data.nbytes + y.data.nbytes + 1024
+        finally:
+            active_tape().clear()
 
     def test_batch_norm_singleton_statistics_rejected(self):
         x = Tensor(np.zeros((1, 3, 1, 1)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segnetr.autodiff import Tensor
+from segnetr.autodiff.tensor import active_tape
 from segnetr.autodiff.module import Module
 from segnetr.data import gen_synthetic
 from segnetr.errors import (
@@ -77,6 +78,7 @@ class TestTrainLoop:
         model.stem.weight.data[...] = np.nan
         with pytest.raises(TrainingError, match="at step 0"):
             train(small_run(), model=model)
+        assert len(active_tape()) == 0  # the failed step's graph is not kept
 
     def test_target_dice_stops_early(self):
         run = small_run(steps=50, eval_interval=2, target_dice=0.0)
