@@ -26,6 +26,7 @@ __all__ = [
     "bilinear_upsample2x",
     "layer_norm",
     "batch_norm",
+    "batch_norm_silu",
     "softmax",
     "log_softmax",
     "cross_entropy",
@@ -63,18 +64,18 @@ def silu(x: Tensor) -> Tensor:
     v = x.data
     y = _sigmoid_stable(v)
     y *= v
+    return _make_output(y, (x,), lambda g: (_silu_grad(v, g),))
 
-    def bw(g):
-        # d/dv v·σ(v) = σ·(1 + v·(1 − σ))
-        s = _sigmoid_stable(v)
-        d = np.subtract(1.0, s)
-        d *= v
-        d += 1.0
-        d *= s
-        d *= g
-        return (d,)
 
-    return _make_output(y, (x,), bw)
+def _silu_grad(v: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    # d/dv v·σ(v) = σ·(1 + v·(1 − σ)), with σ recomputed from v
+    s = _sigmoid_stable(v)
+    d = np.subtract(1.0, s, out=out)
+    d *= v
+    d += 1.0
+    d *= s
+    d *= g
+    return d
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -176,24 +177,22 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
     """Dense and grouped convolution: one batched matmul per kernel tap and
     group.  The first tap's product is written as the output and later taps
     add into it, so a 1×1 convolution is one matmul.  Returns the output and
-    its backward rule for ``(gx, gw)``."""
+    its backward rule for ``(gx, gw)``, which pads the input again."""
     n, cin, h, w = xd.shape
     out_c, cpg, kh, kw = wd.shape
-    xp = xd
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     opg = out_c // groups
     # (output channels, input channels) of each group
     blocks = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg)) for i in range(groups)]
 
-    def tap_views(src):
+    def tap_views():
+        src = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
         for di in range(kh):
             for dj in range(kw):
                 yield di, dj, src[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
 
     area = oh * ow
     y = np.empty((n, out_c, area), dtype=xd.dtype)
-    for di, dj, view in tap_views(xp):
+    for di, dj, view in tap_views():
         for o, c in blocks:
             # (opg, cpg) @ (n, cpg, area): BLAS-backed batched matmul
             wt, vt = wd[o, :, di, dj], view[:, c].reshape(n, cpg, area)
@@ -205,8 +204,8 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
     def bw(g):
         gflat = g.reshape(n, out_c, area)
         gw = np.empty_like(wd)
-        gxp = np.zeros_like(xp)
-        for di, dj, view in tap_views(xp):
+        gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+        for di, dj, view in tap_views():
             gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
             for o, c in blocks:
                 go = gflat[:, o]
@@ -224,9 +223,14 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
     return y.reshape(n, out_c, oh, ow), bw
 
 
-# Rows of the depthwise kernel are processed in blocks of about this many
-# input bytes, so a block's input, accumulator and product stay in L2.
-_DEPTHWISE_BLOCK_BYTES = 256 * 1024
+# Row-blocked kernels (depthwise taps, the fused batch-norm SiLU) work on
+# blocks of about this many bytes, so a block and its temporaries stay in L2.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(rows, row_bytes):
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
 def _depthwise(xd, wd, stride, padding, oh, ow):
@@ -239,12 +243,13 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
     :func:`_tap_pass`).  The kW − 1 wrapped columns of each output row are
     cropped and, for stride > 1, the stride-1 result is subsampled.
 
-    The backward is a gather in the same layout.  One zero-filled row per
-    plane, ``ext``, holds the output gradient at its stride-1 positions with
-    ``top = (kH−1)·W' + (kW−1)`` zeros before and after: the zero-dilated
-    gradient, so one form serves every stride.  ``gw`` is a per-row dot of it with each shifted input
-    slice; ``gx`` is a forward-style tap pass over ``ext`` at offsets
-    ``p·W' + top − off_t``, run over the H interior rows and cropped to W.
+    Rows are padded a block at a time.  The backward is a gather in the same
+    layout: one zero-filled row per plane, ``ext``, holds the output gradient
+    at its stride-1 positions with ``top = (kH−1)·W' + (kW−1)`` zeros before
+    and after, the zero-dilated gradient, so one form serves every stride.
+    ``gw`` is a per-row dot of it with each shifted input slice; ``gx`` is a
+    forward-style tap pass over ``ext`` at offsets ``p·W' + top − off_t``,
+    run over the H interior rows and cropped to W.
     """
     n, c, h, w = xd.shape
     kh, kw = wd.shape[2:]
@@ -252,27 +257,34 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
     rows, full_h = n * c, hp - kh + 1
     length = full_h * wp
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    flat = np.zeros((rows, hp * wp + kw - 1), dtype=xd.dtype)
-    flat[:, : hp * wp].reshape(rows, hp, wp)[:, padding : padding + h, padding : padding + w] = (
-        xd.reshape(rows, h, w)
-    )
+    planes = xd.reshape(rows, h, w)
+
+    def padded_rows(b):
+        flat = np.zeros((b.stop - b.start, hp * wp + kw - 1), dtype=xd.dtype)
+        flat[:, : hp * wp].reshape(-1, hp, wp)[:, padding : padding + h, padding : padding + w] = planes[b]
+        return flat
+
     # taps[t, r] is the weight of tap t for row r = (image, channel)
     taps = np.ascontiguousarray(np.tile(wd.reshape(c, kh * kw), (n, 1)).T)[:, :, None]
     # output (row, i, j) sits at stride-1 position (stride·i, stride·j)
     keep = (slice(None), slice(None, None, stride), slice(None, (ow - 1) * stride + 1, stride))
-    y = _tap_pass(flat, taps, offsets, length, wp, keep, np.empty((rows, oh, ow), dtype=xd.dtype))
+    y = _tap_pass(padded_rows, taps, offsets, length, wp, keep, np.empty((rows, oh, ow), dtype=xd.dtype))
 
     def bw(g):
         top = offsets[-1]
-        ext = np.zeros((rows, length + 2 * top), dtype=flat.dtype)
+        ext = np.zeros((rows, length + 2 * top), dtype=xd.dtype)
         gfull = ext[:, top : top + length]
         gfull.reshape(rows, full_h, wp)[keep] = g.reshape(rows, oh, ow)
-        gtaps = np.stack([np.einsum("ij,ij->i", gfull, flat[:, off : off + length]) for off in offsets])
+        gtaps = np.empty((kh * kw, rows), dtype=xd.dtype)
+        for b in _row_blocks(rows, length * xd.itemsize):
+            flat = padded_rows(b)
+            for t, off in enumerate(offsets):
+                gtaps[t, b] = np.einsum("ij,ij->i", gfull[b], flat[:, off : off + length])
         gw = gtaps.reshape(kh * kw, n, c).sum(axis=1).T.reshape(c, 1, kh, kw)
         gx = _tap_pass(
-            ext, taps, [padding * wp + top - off for off in offsets], h * wp, wp,
+            ext.__getitem__, taps, [padding * wp + top - off for off in offsets], h * wp, wp,
             (slice(None), slice(None), slice(padding, padding + w)),
-            np.empty((rows, h, w), dtype=flat.dtype),
+            np.empty((rows, h, w), dtype=xd.dtype),
         )
         return gx.reshape(n, c, h, w), gw
 
@@ -280,25 +292,23 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
 
 
 def _tap_pass(src, taps, offsets, length, wp, keep, out):
-    """``out[r] = grid(Σ_t taps[t, r] · src[r, offsets[t] : offsets[t] + length])[keep]``,
-    where the sum is viewed as a (length / W', W') grid.
+    """``out[r] = grid(Σ_t taps[t, r] · src(r)[offsets[t] : offsets[t] + length])[keep]``,
+    where the sum is viewed as a (length / W', W') grid and ``src(b)`` gives rows ``b``.
 
     Taps accumulate in order, the first written rather than added to zeros,
-    over blocks of rows of about ``_DEPTHWISE_BLOCK_BYTES`` of ``src``, so a
+    over blocks of rows of about ``_BLOCK_BYTES`` of accumulator, so a
     block's input, accumulator and product stay in L2.
     """
-    rows = src.shape[0]
-    block = max(1, _DEPTHWISE_BLOCK_BYTES // src[0].nbytes)
-    acc = np.empty((min(block, rows), length), dtype=src.dtype)
+    blocks = _row_blocks(len(out), length * out.itemsize)
+    acc = np.empty((blocks[0].stop, length), dtype=out.dtype)
     prod = np.empty_like(acc)
-    for r0 in range(0, rows, block):
-        r1 = min(r0 + block, rows)
-        s, a, p = src[r0:r1], acc[: r1 - r0], prod[: r1 - r0]
-        np.multiply(s[:, offsets[0] : offsets[0] + length], taps[0, r0:r1], out=a)
+    for b in blocks:
+        s, a, p = src(b), acc[: b.stop - b.start], prod[: b.stop - b.start]
+        np.multiply(s[:, offsets[0] : offsets[0] + length], taps[0, b], out=a)
         for t in range(1, len(offsets)):
-            np.multiply(s[:, offsets[t] : offsets[t] + length], taps[t, r0:r1], out=p)
+            np.multiply(s[:, offsets[t] : offsets[t] + length], taps[t, b], out=p)
             a += p
-        out[r0:r1] = a.reshape(r1 - r0, -1, wp)[keep]
+        out[b] = a.reshape(b.stop - b.start, -1, wp)[keep]
     return out
 
 
@@ -390,6 +400,19 @@ def batch_norm(
     and is rejected.  One fused op (the hot path in every block), so the
     backward rule is hand-written.
     """
+    return _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, eps, then_silu=False)
+
+
+def batch_norm_silu(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                    running_var: np.ndarray, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """``silu(batch_norm(x, …, training=True))`` as one node, with the same
+    operations and bits.  SiLU runs in place on the norm's output, the
+    forward's only full-size array; the node keeps only ``x``, and its rule
+    rebuilds ``v = x̂·γ + β`` for SiLU's gradient (Rota Bulò et al., 2018)."""
+    return _batch_norm(x, gamma, beta, running_mean, running_var, True, momentum, eps, then_silu=True)
+
+
+def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, eps, then_silu):
     if x.ndim != 4:
         raise ShapeError("batch_norm expects NCHW input")
     c = x.shape[1]
@@ -418,7 +441,8 @@ def batch_norm(
         )
     n, m = x.shape[0], x.data.size // c
     mu = np.add.reduce(x.data, axis=axes, keepdims=True) / m
-    y = x.data - mu
+    # C order, so the plane rows below are views of y itself
+    y = np.subtract(x.data, mu, order="C")
     d3 = y.reshape(n, c, -1)
     var = np.einsum("nck,nck->c", d3, d3) / m
     running_mean *= 1.0 - momentum
@@ -431,16 +455,30 @@ def batch_norm(
     y *= inv_std
     y *= gamma4
     y += beta4
+    if then_silu:
+        # y·σ(y) in place, so σ takes one block-sized temporary
+        planes = y.reshape(n * c, -1)
+        for b in _row_blocks(n * c, planes[0].nbytes):
+            np.multiply(planes[b], _sigmoid_stable(planes[b]), out=planes[b])
 
     def bw(g):
         # dx = g·k − k·dβ/m − x̂·(k·dγ/m) with k = γ/√(var+ε): two full-size
-        # arrays, the result and the recomputed x̂
+        # arrays, the recomputed x̂ and the result (in SiLU's gradient, if fused)
         xhat = x.data - mu
         xhat *= inv_std
+        if then_silu:
+            # SiLU's gradient at v = x̂·γ + β, rebuilt a block of rows at a time
+            xr, gr = xhat.reshape(n * c, -1), g.reshape(n * c, -1)
+            gam, bet, d = *(np.tile(p.data, n)[:, None] for p in (gamma, beta)), np.empty_like(xr)
+            for b in _row_blocks(n * c, xr[0].nbytes):
+                v = xr[b] * gam[b]
+                v += bet[b]
+                _silu_grad(v, gr[b], out=d[b])
+            g = d.reshape(xhat.shape)
         dbeta = g.sum(axis=axes)
         dgamma = np.einsum("nck,nck->c", g.reshape(n, c, -1), xhat.reshape(n, c, -1))
         k = gamma4 * inv_std
-        dx = g * k
+        dx = np.multiply(g, k, out=g if then_silu else None)
         dx -= k * (dbeta.reshape(1, c, 1, 1) / m)
         xhat *= k * (dgamma.reshape(1, c, 1, 1) / m)
         dx -= xhat

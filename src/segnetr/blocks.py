@@ -97,17 +97,22 @@ class BatchNorm2d(Module):
         )
 
 
-def conv_norm(x: Tensor, conv: Conv2d, norm: BatchNorm2d) -> Tensor:
-    """``norm(conv(x))`` for a bias-free ``conv``.  In eval mode the norm is
+def conv_norm(x: Tensor, conv: Conv2d, norm: BatchNorm2d, silu: bool = False) -> Tensor:
+    """``norm(conv(x))`` for a bias-free ``conv``, then SiLU if ``silu``, which
+    in training is one ``F.batch_norm_silu`` node.  In eval mode the norm is
     folded into one conv (Jacob et al., 2018, §3.2) with weight ``W·scale``,
     ``scale = γ/√(var+ε)``, and bias ``β − μ·scale``, rebuilt from autodiff
     ops on every call: it cannot go stale, and gradients reach W, γ and β."""
     if norm.training:
+        if silu:
+            return F.batch_norm_silu(conv(x), norm.gamma, norm.beta, norm.running_mean,
+                                     norm.running_var, norm.momentum, norm.eps)
         return norm(conv(x))
     scale = norm.gamma * Tensor(1.0 / np.sqrt(norm.running_var.astype(x.dtype) + norm.eps))
     weight = conv.weight * reshape(scale, (-1, 1, 1, 1))
     bias = norm.beta - Tensor(norm.running_mean.astype(x.dtype)) * scale
-    return F.conv2d(x, weight, bias, conv.stride, conv.padding, conv.groups)
+    y = F.conv2d(x, weight, bias, conv.stride, conv.padding, conv.groups)
+    return F.silu(y) if silu else y
 
 
 class LayerNorm(Module):
@@ -143,8 +148,8 @@ class MBConv(Module):
         self.project_norm = BatchNorm2d(channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = F.silu(conv_norm(x, self.expand, self.expand_norm))
-        h = F.silu(conv_norm(h, self.depthwise, self.depthwise_norm))
+        h = conv_norm(x, self.expand, self.expand_norm, silu=True)
+        h = conv_norm(h, self.depthwise, self.depthwise_norm, silu=True)
         gate = F.sigmoid(self.se_expand(F.silu(self.se_reduce(F.global_avg_pool(h)))))
         h = h * gate
         return x + conv_norm(h, self.project, self.project_norm)

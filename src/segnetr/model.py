@@ -192,7 +192,7 @@ class SegnetrModel(Module):
         res = self.cfg.resolution
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != res or x.shape[3] != res:
             raise ShapeError(f"expected input (N, 3, {res}, {res}), got {x.shape}")
-        y = F.silu(conv_norm(x, self.stem, self.stem_norm))
+        y = conv_norm(x, self.stem, self.stem_norm, silu=True)
         skips = []
         for s in range(NUM_STAGES):
             for block in self.encoder_stages[s]:
@@ -248,8 +248,8 @@ class DoubleConv(Module):
         self.norm2 = BatchNorm2d(channels, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = F.silu(conv_norm(x, self.conv1, self.norm1))
-        return F.silu(conv_norm(h, self.conv2, self.norm2))
+        h = conv_norm(x, self.conv1, self.norm1, silu=True)
+        return conv_norm(h, self.conv2, self.norm2, silu=True)
 
 
 class MiniUnet(Module):
@@ -286,7 +286,7 @@ class MiniUnet(Module):
         res = self.cfg.resolution
         if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != res or x.shape[3] != res:
             raise ShapeError(f"expected input (N, 3, {res}, {res}), got {x.shape}")
-        y = F.silu(conv_norm(x, self.stem, self.stem_norm))
+        y = conv_norm(x, self.stem, self.stem_norm, silu=True)
         skips = []
         for s in range(NUM_STAGES):
             y = self.encoder_stages[s](y)

@@ -219,6 +219,40 @@ def layer_norm_naive(x, gamma, beta, g, eps=1e-5):
     return y, gx, ggamma, gbeta
 
 
+def batch_norm_silu_naive(x, gamma, beta, g, eps=1e-5):
+    """Training batch norm over (N, H, W) per channel of NCHW ``x``, then
+    SiLU, and its gradients for output gradient ``g``:
+    ``(y, gx, ggamma, gbeta, mean, var)`` with the batch mean and biased
+    variance.  With ``v = x̂·γ + β`` and ``u = g·σ(v)·(1 + v·(1 − σ(v)))``
+    the input gradient is ``γ/σ_c·(u − mean u − x̂·mean(u·x̂))``."""
+    n, c, h, w = x.shape
+    count = n * h * w
+    y, gx = np.zeros(x.shape), np.zeros(x.shape)
+    ggamma, gbeta, means, variances = np.zeros(c), np.zeros(c), np.zeros(c), np.zeros(c)
+    for ch in range(c):
+        idx = [(i, ch, r, q) for i in range(n) for r in range(h) for q in range(w)]
+        vals = [float(x[k]) for k in idx]
+        mu = sum(vals) / count
+        var = sum((v - mu) ** 2 for v in vals) / count
+        sigma = math.sqrt(var + eps)
+        gam, bet = float(gamma[ch]), float(beta[ch])
+        xhat = [(v - mu) / sigma for v in vals]
+        u = []
+        for k, xh in zip(idx, xhat):
+            v = xh * gam + bet
+            s = sigmoid_reference(v)
+            y[k] = v * s
+            u.append(float(g[k]) * s * (1.0 + v * (1.0 - s)))
+        mean_u = sum(u) / count
+        mean_ux = sum(a * b for a, b in zip(u, xhat)) / count
+        for k, xh, uk in zip(idx, xhat, u):
+            gx[k] = gam / sigma * (uk - mean_u - xh * mean_ux)
+        ggamma[ch] = mean_ux * count
+        gbeta[ch] = mean_u * count
+        means[ch], variances[ch] = mu, var
+    return y, gx, ggamma, gbeta, means, variances
+
+
 def softmax_grad_naive(row, grow):
     """Input gradient of a softmax row through its Jacobian
     ``∂y_j/∂x_k = y_j·(δ_jk − y_k)``."""

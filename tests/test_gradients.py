@@ -27,7 +27,7 @@ from segnetr.autodiff import (
     sum_,
     transpose,
 )
-from segnetr.autodiff import batch_norm, bilinear_upsample2x, global_avg_pool, log_softmax
+from segnetr.autodiff import batch_norm, batch_norm_silu, bilinear_upsample2x, global_avg_pool, log_softmax
 from segnetr.autodiff.tensor import (
     _make_output,
     active_tape,
@@ -315,6 +315,7 @@ def _op_inventory(rng):
         ("conv2d 1x1 strided", AFFINE, lambda x, w: conv2d(x, w, stride=2), [t(3, 3, 5, 6), t(4, 3, 1, 1, scale=0.5)]),
         ("conv2d 1x1 on a 1x1 map", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(3, 5, 1, 1), t(4, 5, 1, 1, scale=0.5), t(4)]),
         ("conv_norm eval", GENERAL, _conv_norm_eval(eval_rm, eval_rv), [t(2, 3, 5, 6), t(4, 3, 3, 3, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
+        ("batch_norm_silu", GENERAL, lambda x, g, b: batch_norm_silu(x, g, b, rm.copy(), rv.copy()), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
     ]
 
 

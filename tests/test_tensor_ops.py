@@ -1,6 +1,7 @@
 """Forward-value tests for the tensor ops: hand cases plus naive oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +27,14 @@ from segnetr.autodiff import (
     softmax,
     transpose,
 )
-from segnetr.autodiff import batch_norm, sum_
+from segnetr.autodiff import batch_norm, batch_norm_silu, no_grad, sum_
 from segnetr.autodiff.functional import _interp_matrix
 from segnetr.autodiff.tensor import active_tape, mul
 from segnetr.errors import ShapeError, ValidationError
 
-from .conftest import closure_arrays, graph_saved_bytes
+from .conftest import _root, closure_arrays, graph_saved_bytes
 from .oracles import (
+    batch_norm_silu_naive,
     bilinear2x_naive,
     conv2d_naive,
     cross_entropy_naive,
@@ -390,6 +392,97 @@ class TestMeanNorms:
             batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
 
 
+class TestBatchNormSilu:
+    """The fused training ``batch_norm_silu`` node against the composed
+    ``silu(batch_norm(x))`` byte for byte, and against the scalar oracle."""
+
+    RUNNING = (np.linspace(-0.3, 0.3, 40), np.linspace(0.5, 1.5, 40))
+
+    def _run(self, op, shape, dtype):
+        rng = np.random.default_rng(80)
+        c = shape[1]
+        x = Tensor((rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype), requires_grad=True)
+        gamma = Tensor((rng.standard_normal(c) * 0.3 + 1.0).astype(dtype), requires_grad=True)
+        beta = Tensor((rng.standard_normal(c) * 0.3).astype(dtype), requires_grad=True)
+        rm, rv = (r[:c].astype(dtype) for r in self.RUNNING)
+        y = op(x, gamma, beta, rm, rv)
+        backward(sum_(y * Tensor(rng.standard_normal(shape).astype(dtype))))
+        return [y.data, x.grad, gamma.grad, beta.grad, rm, rv]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axes", [((2, 3, 5, 6), (0, 1, 2, 3)), ((3, 40, 30, 30), (0, 1, 2, 3)),
+                                             ((2, 3, 6, 6), (0, 1, 3, 2))],
+                             ids=["small", "row blocks", "transposed view"])
+    def test_bitwise_equal_to_composed(self, shape, axes, dtype):
+        # (3, 40, 30, 30) spans several row blocks of the in-place SiLU; on a
+        # transposed view the rows it writes must be the output, not a copy
+        fused = self._run(lambda x, *rest: batch_norm_silu(transpose(x, axes), *rest), shape, dtype)
+        composed = self._run(lambda x, g, b, rm, rv: silu(batch_norm(transpose(x, axes), g, b, rm, rv, True)),
+                             shape, dtype)
+        for got, want in zip(fused, composed):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_matches_scalar_oracle(self):
+        shape = (2, 3, 4, 5)
+        y, gx, ggamma, gbeta, rm, rv = self._run(batch_norm_silu, shape, np.float64)
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal(shape) * 2.0 + 0.5
+        gamma, beta = rng.standard_normal(3) * 0.3 + 1.0, rng.standard_normal(3) * 0.3
+        want = batch_norm_silu_naive(x, gamma, beta, rng.standard_normal(shape))
+        mu, var = want[4:]
+        want_rm = self.RUNNING[0][:3] * 0.9 + 0.1 * mu
+        want_rv = self.RUNNING[1][:3] * 0.9 + 0.1 * var
+        for got, ref in zip((y, gx, ggamma, gbeta, rm, rv), want[:4] + (want_rm, want_rv)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_no_grad_forward_peak_at_most_composed(self):
+        # a train-mode forward under no_grad (the calibration forwards before
+        # an inference run) must not allocate more than the two ops it fuses
+        x = Tensor(np.random.default_rng(81).standard_normal((2, 64, 56, 56)).astype(np.float32))
+        gamma, beta = Tensor(np.ones(64, np.float32)), Tensor(np.zeros(64, np.float32))
+
+        def peak(op):
+            rm, rv = np.zeros(64, np.float32), np.ones(64, np.float32)
+            tracemalloc.start()
+            try:
+                with no_grad():
+                    op(x, gamma, beta, rm, rv)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        composed = peak(lambda x, g, b, rm, rv: silu(batch_norm(x, g, b, rm, rv, True)))
+        assert peak(batch_norm_silu) <= composed
+
+
+def _saved_state_cases():
+    """(name, op on a (4, 3, 5, 6) input) whose rule must keep no full-size
+    array but that input."""
+    rng = np.random.default_rng(18)
+    ones, zeros = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    w_dw, w_dense = Tensor(rng.standard_normal((3, 1, 3, 3))), Tensor(rng.standard_normal((3, 3, 3, 3)))
+    return [
+        ("batch_norm_silu", lambda x: batch_norm_silu(x, ones, zeros, np.zeros(3), np.ones(3))),
+        ("depthwise padded", lambda x: conv2d(x, w_dw, padding=1, groups=3)),
+        ("conv2d 3x3 padded", lambda x: conv2d(x, w_dense, padding=1)),
+    ]
+
+
+@pytest.mark.parametrize("name, op", _saved_state_cases(), ids=[c[0] for c in _saved_state_cases()])
+def test_rule_keeps_no_full_size_array_but_its_input(name, op):
+    # the fused node recomputes its pre-activation and the conv rules
+    # rebuild their zero-padded input rows
+    x = Tensor(np.random.default_rng(17).standard_normal((4, 3, 5, 6)), requires_grad=True)
+    active_tape().clear()
+    try:
+        op(x)
+        (entry,) = active_tape().entries
+        full = [a for a in closure_arrays(entry[2]) if a.size >= x.size]
+        assert full and all(_root(a) is x.data for a in full)
+    finally:
+        active_tape().clear()
+
+
 class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(Tensor(np.array(0.0))).data == 0.5
@@ -453,6 +546,7 @@ def _inplace_cases():
         ("gelu", gelu, [(2, 4, 5, 6)]),
         ("batch_norm train", lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [(2, 4, 5, 6), (4,), (4,)]),
         ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
+        ("batch_norm_silu", lambda x, g, b: batch_norm_silu(x, g, b, rm.copy(), rv.copy()), [(2, 4, 5, 6), (4,), (4,)]),
         ("mul broadcast gate", mul, [(4, 8, 5, 5), (4, 8, 1, 1)]),
         ("mul 0-d scalar", mul, [(), (4, 8, 5, 5)]),
         *_fused_cases(),
@@ -536,6 +630,9 @@ def _poison_cases():
         ("conv2d 1x1 on a 1x1 map", lambda x, w: conv2d(x, w), [(4, 8, 1, 1), (6, 8, 1, 1)]),
         ("batch_norm train", lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [(2, 4, 5, 6), (4,), (4,)]),
         ("batch_norm eval", lambda x, g, b: batch_norm(x, g, b, rm, rv, False), [(2, 4, 5, 6), (4,), (4,)]),
+        ("batch_norm_silu", lambda x, g, b: batch_norm_silu(x, g, b, rm.copy(), rv.copy()), [(2, 4, 5, 6), (4,), (4,)]),
+        ("batch_norm_silu 4x64x28x28", lambda x, g, b: batch_norm_silu(x, g, b, np.zeros(64), np.ones(64)),
+         [(4, 64, 28, 28), (64,), (64,)]),
         ("silu", silu, [(2, 4, 5, 6)]),
         ("mul broadcast", mul, [(4, 8, 5, 5), (4, 8, 1, 1)]),
         *_fused_cases(),
