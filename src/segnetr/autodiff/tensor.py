@@ -119,15 +119,6 @@ class Tensor:
         """The backing array (not a copy); treat as read-only."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._leaf = True
-        out._tracked = False
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -352,11 +343,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make_output(y, (a,), lambda g: (g * (0.5 / y),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _make_output(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
 # -- structural ops ----------------------------------------------------------
 
 
@@ -418,23 +404,6 @@ def pad(a: Tensor, pad_width: Sequence[tuple[int, int]]) -> Tensor:
     data = np.pad(a.data, pw)
     crop = tuple(slice(b, b + s) for (b, _), s in zip(pw, a.data.shape))
     return _make_output(data, (a,), lambda g: (g[crop],))
-
-
-def gather(a: Tensor, index: np.ndarray, axis: int) -> Tensor:
-    """Select positions along one axis by integer index; repeated indices
-    accumulate additively in the gradient."""
-    index = np.asarray(index)
-    if index.ndim != 1:
-        raise ShapeError("gather index must be one-dimensional")
-    data = np.take(a.data, index, axis=axis)
-    src_shape = a.data.shape
-
-    def bw(g):
-        gz = np.zeros(src_shape, dtype=g.dtype)
-        np.add.at(np.moveaxis(gz, axis, 0), index, np.moveaxis(g, axis, 0))
-        return (gz,)
-
-    return _make_output(data, (a,), bw)
 
 
 # -- reductions --------------------------------------------------------------

@@ -12,12 +12,11 @@ seed fixes the whole model.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .autodiff import functional as F
-from .autodiff.module import Module, ModuleList, Parameter
+from .autodiff.module import Module, Parameter
 from .autodiff.tensor import Tensor, concat, mean, reshape, transpose
 from .errors import ConfigError, ShapeError
 from .layout import (
@@ -189,13 +188,12 @@ class InteractionBranch(Module):
     put back in place, so uniform attention gives a gate of exactly 1.
     """
 
-    def __init__(self, p: int, kind: str, *, rng, dtype=np.float32, parity: str = "cross"):
+    def __init__(self, p: int, kind: str, *, rng, dtype=np.float32):
         super().__init__()
         if kind not in ("local", "global"):
             raise ConfigError(f"branch kind must be local or global, got {kind!r}")
         self.p = p
         self.kind = kind
-        self.parity = parity
         self.window = p if kind == "local" else 2 * p
         self.attention = WindowAttention(self.window * self.window, rng=rng, dtype=dtype)
 
@@ -203,7 +201,7 @@ class InteractionBranch(Module):
         if self.kind == "local":
             ws = local_partition(pooled, self.p, pad=True)
         else:
-            ws = global_partition(pooled, self.p, pad=True, parity=self.parity)
+            ws = global_partition(pooled, self.p, pad=True)
         attn = self.attention(ws)
         gate = reshape(attn, ws.windows.shape) * float(self.window * self.window)
         out_stack = WindowStack(gate, ws.grid, ws.displaced, ws.spec, ws.pad_before, ws.orig_hw)
@@ -232,26 +230,17 @@ class SegnetrBlock(Module):
     starting at 0.5.
     """
 
-    def __init__(
-        self,
-        channels: int,
-        p: int,
-        mode: str = "parallel",
-        *,
-        rng,
-        dtype=np.float32,
-        parity: str = "cross",
-    ):
+    def __init__(self, channels: int, p: int, mode: str = "parallel", *, rng, dtype=np.float32):
         super().__init__()
         if mode not in INTERACTION_MODES:
             raise ConfigError(f"unknown interaction mode {mode!r}; pick from {INTERACTION_MODES}")
         self.mode = mode
         self.mbconv = MBConv(channels, rng=rng, dtype=dtype)
         if mode in ("local", "series", "parallel"):
-            self.local_branch = InteractionBranch(p, "local", rng=rng, dtype=dtype, parity=parity)
+            self.local_branch = InteractionBranch(p, "local", rng=rng, dtype=dtype)
             self.alpha_local = Parameter(np.asarray(0.5, dtype=dtype))
         if mode in ("global", "series", "parallel"):
-            self.global_branch = InteractionBranch(p, "global", rng=rng, dtype=dtype, parity=parity)
+            self.global_branch = InteractionBranch(p, "global", rng=rng, dtype=dtype)
             self.alpha_global = Parameter(np.asarray(0.5, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:

@@ -256,10 +256,10 @@ def cost_report(model: Module, input_hw: Union[int, tuple[int, int], None] = Non
     extents must be multiples of 16 so stage geometry mirrors the forward
     pass.  Defaults to the model's configured resolution.
     """
-    from .model import NUM_STAGES, MiniUnet, SegnetrModel
+    from .model import NUM_STAGES, UNet
 
-    if not isinstance(model, (SegnetrModel, MiniUnet)):
-        raise ContractError(f"cost_report supports SegnetrModel and MiniUnet, got {type(model).__name__}")
+    if not isinstance(model, UNet):
+        raise ContractError(f"cost_report supports UNet models, got {type(model).__name__}")
     cfg = model.cfg
     if input_hw is None:
         input_hw = cfg.resolution

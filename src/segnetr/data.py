@@ -29,9 +29,6 @@ class SyntheticDataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    def sample(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.images[i], self.masks[i]
-
     def batches(self, batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Full batches in dataset order; a trailing short batch is kept."""
         for start in range(0, len(self), batch_size):

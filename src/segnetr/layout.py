@@ -74,26 +74,19 @@ class WindowGrid:
 
 @dataclass(frozen=True)
 class DisplacementSpec:
-    """Parity-alternating cyclic patch displacement at granularity ``p``.
+    """Even/odd-alternating cyclic patch displacement at granularity ``p``.
 
     Composition order is fixed: a horizontal pass, then a vertical pass on
-    the shifted result, both wrapping cyclically.  With ``parity="cross"``
-    (the default) a patch at grid (r, c) first moves one patch right if r is
-    even and one left if r is odd; it then moves one patch down if its new
-    column is even and one up if odd.  ``parity="own"`` alternates each pass
-    on the moving patch's own coordinate instead, which degenerates to
-    in-place pair swaps and is kept only for comparison; it is a bijection
-    only on even grid extents.
+    the shifted result, both wrapping cyclically.  A patch at grid (r, c)
+    first moves one patch right if r is even and one left if r is odd; it
+    then moves one patch down if its new column is even and one up if odd.
     """
 
     p: int
-    parity: str = "cross"
 
     def __post_init__(self):
         if self.p <= 0:
             raise LayoutError(f"displacement granularity must be positive, got {self.p}")
-        if self.parity not in ("cross", "own"):
-            raise LayoutError(f"unknown parity rule {self.parity!r} (use 'cross' or 'own')")
 
 
 @dataclass
@@ -196,7 +189,7 @@ def local_reverse(ws: WindowStack) -> Tensor:
 
 
 @lru_cache(maxsize=256)
-def _pixel_perm(h: int, w: int, p: int, parity: str) -> tuple[np.ndarray, np.ndarray]:
+def _pixel_perm(h: int, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat pixel permutation for displace: out.flat[q] = in.flat[perm[q]].
 
     Built by brute-force application of the two-pass rule on the patch grid,
@@ -205,16 +198,8 @@ def _pixel_perm(h: int, w: int, p: int, parity: str) -> tuple[np.ndarray, np.nda
     rows, cols = h // p, w // p
     r = np.arange(rows)[:, None]
     c = np.arange(cols)[None, :]
-    if parity == "cross":
-        c1 = (c + np.where(r % 2 == 1, -1, 1)) % cols
-        r1 = (r + np.where(c1 % 2 == 1, -1, 1)) % rows
-    else:
-        if rows % 2 or cols % 2:
-            raise LayoutError(
-                f"parity='own' displacement needs even grid extents, got ({rows}, {cols})"
-            )
-        c1 = np.broadcast_to((c + np.where(c % 2 == 1, -1, 1)) % cols, (rows, cols))
-        r1 = np.broadcast_to((r + np.where(r % 2 == 1, -1, 1)) % rows, (rows, cols))
+    c1 = (c + np.where(r % 2 == 1, -1, 1)) % cols
+    r1 = (r + np.where(c1 % 2 == 1, -1, 1)) % rows
     rr, cc = np.broadcast_arrays(r, c)
     src_r = np.empty((rows, cols), dtype=np.int64)
     src_c = np.empty((rows, cols), dtype=np.int64)
@@ -237,7 +222,7 @@ def _apply_displacement(x: Tensor, spec: DisplacementSpec, inverse: bool) -> Ten
     h, w, c = _hwc(x)
     if h % spec.p or w % spec.p:
         raise LayoutError(f"displacement granularity {spec.p} does not divide ({h}, {w})")
-    perm, inv = _pixel_perm(h, w, spec.p, spec.parity)
+    perm, inv = _pixel_perm(h, w, spec.p)
     if inverse:
         perm, inv = inv, perm
     lead = x.shape[:-3]
@@ -259,16 +244,14 @@ def undisplace(x: Tensor, spec: DisplacementSpec) -> Tensor:
 # -- global partition / reverse ----------------------------------------------
 
 
-def global_partition(
-    x: Tensor, p: int, pad: bool = False, parity: str = "cross"
-) -> WindowStack:
+def global_partition(x: Tensor, p: int, pad: bool = False) -> WindowStack:
     """Displace at granularity P, then partition into 2P×2P windows.
 
     Displacement happens on the unpadded tensor (P must divide H and W);
     padding, when enabled, only squares the displaced result up to a 2P
     multiple for the partition.
     """
-    spec = DisplacementSpec(p, parity)
+    spec = DisplacementSpec(p)
     moved = displace(x, spec)
     xp, before, orig = _partition_grid(moved, 2 * p, pad)
     h, w, c = _hwc(xp)

@@ -1,11 +1,12 @@
-"""Model assembly: SegNetr / SegNetr-S and a mini U-Net baseline.
+"""Model assembly: one U-shaped skeleton whose stage bodies are SegNetr
+blocks (SegNetr / SegNetr-S) or double convs (a mini U-Net baseline).
 
 Geometry: a stride-2 stem halves the input, then four encoder stages run at
 resolution/2^(s+1) with channels (C, 2C, 4C, 8C) and the local patch
 schedule (default 8, 4, 2, 1; global windows are always 2P).  Each stage ends
 with patch merge (cached for the skip path) and a 1×1 projection; the decoder
 mirrors the encoder with bilinear ×2 upsampling, skip fusion, a 1×1
-projection, and the same blocks.  The head is a 1×1 conv to num_classes
+projection, and the same stage body.  The head is a 1×1 conv to num_classes
 followed by a final ×2 upsample back to the input resolution.
 
 Odd stage resolutions (e.g. 7×7 from a 112 input) are handled by padding
@@ -23,7 +24,7 @@ import numpy as np
 
 from .autodiff import functional as F
 from .autodiff.module import Module, ModuleList
-from .autodiff.tensor import Tensor, concat
+from .autodiff.tensor import Tensor, concat, slice_
 from .blocks import (
     INTERACTION_MODES,
     BatchNorm2d,
@@ -135,8 +136,14 @@ class ModelConfig:
             return cls.from_json(fh.read())
 
 
-class SegnetrModel(Module):
-    def __init__(self, cfg: ModelConfig, *, dtype=np.float32, parity: str = "cross"):
+class UNet(Module):
+    """The U-shaped skeleton every variant shares: stem, four encoder stages
+    each followed by patch merge and a 1×1 projection, then four decoder
+    stages each preceded by a ×2 upsample, the skip fusion and a 1×1
+    projection, and a 1×1 head.  ``stage(channels, s, rng)`` builds the body
+    of stage ``s``, the only part that differs between variants."""
+
+    def __init__(self, cfg: ModelConfig, stage, *, dtype=np.float32):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
@@ -150,14 +157,7 @@ class SegnetrModel(Module):
         self.encoder_stages = ModuleList()
         self.merge_projections = ModuleList()
         for s in range(NUM_STAGES):
-            blocks = ModuleList(
-                SegnetrBlock(
-                    chans[s], cfg.patch_schedule[s], cfg.interaction_mode,
-                    rng=rng, dtype=dtype, parity=parity,
-                )
-                for _ in range(cfg.depths[s])
-            )
-            self.encoder_stages.append(blocks)
+            self.encoder_stages.append(stage(chans[s], s, rng))
             out_c = chans[s + 1] if s + 1 < NUM_STAGES else chans[-1]
             self.merge_projections.append(Conv2d(4 * chans[s], out_c, 1, rng=rng, dtype=dtype))
 
@@ -167,26 +167,12 @@ class SegnetrModel(Module):
             carry = chans[s + 1] if s + 1 < NUM_STAGES else chans[-1]
             skip_c = chans[s] // 2 if cfg.skip_mode == "irsc" else chans[s]
             self.fuse_projections.append(Conv2d(carry + skip_c, chans[s], 1, rng=rng, dtype=dtype))
-            blocks = ModuleList(
-                SegnetrBlock(
-                    chans[s], cfg.patch_schedule[s], cfg.interaction_mode,
-                    rng=rng, dtype=dtype, parity=parity,
-                )
-                for _ in range(cfg.depths[s])
-            )
-            self.decoder_stages.append(blocks)
+            self.decoder_stages.append(stage(chans[s], s, rng))
 
         self.head = Conv2d(c0, cfg.num_classes, 1, rng=rng, dtype=dtype)
-        # At depth 8 the 0.5-weighted branch fusion compounds activation scale
-        # by ~2x per block, which stalls optimization at a fixed 1e-4 learning
-        # rate.  Ramping the fusion weights from zero (they stay learnable and
-        # lift off immediately) and starting the head at zero logits keeps the
-        # assembled model trainable; standalone blocks keep the 0.5 init.
-        self.head.weight.data[...] = 0
-        for name, p in self.named_parameters():
-            if name.endswith(("alpha_local", "alpha_global")):
-                p.data[...] = 0
-        self.skips_consumed = 0
+
+    def run_stage(self, stage: Module, y: Tensor) -> Tensor:
+        return stage(y)
 
     def forward(self, x: Tensor) -> Tensor:
         res = self.cfg.resolution
@@ -195,8 +181,7 @@ class SegnetrModel(Module):
         y = conv_norm(x, self.stem, self.stem_norm, silu=True)
         skips = []
         for s in range(NUM_STAGES):
-            for block in self.encoder_stages[s]:
-                y = block(y)
+            y = self.run_stage(self.encoder_stages[s], y)
             padded, before, _ = pad_to_multiple(nchw_to_hwc(y), 2)
             merged = patch_merge(padded)
             skips.append((y if self.cfg.skip_mode == "concat" else merged, before))
@@ -206,35 +191,48 @@ class SegnetrModel(Module):
             y = F.bilinear_upsample2x(y)
             r = resolutions[s]
             payload, before = skips.pop()
+            if y.shape[-1] != r:
+                top, left = before
+                y = slice_(y, (Ellipsis, slice(top, top + r), slice(left, left + r)))
             if self.cfg.skip_mode == "irsc":
-                up = _crop_square(nchw_to_hwc(y), before, r)
-                y = hwc_to_nchw(irsc_fuse(payload, up, before))
+                y = hwc_to_nchw(irsc_fuse(payload, nchw_to_hwc(y), before))
             else:
-                y = _crop_square_nchw(y, before, r)
                 y = concat([y, payload], axis=1)
-            self.skips_consumed += 1
             y = self.fuse_projections[i](y)
-            for block in self.decoder_stages[i]:
-                y = block(y)
+            y = self.run_stage(self.decoder_stages[i], y)
         if skips:
             raise ContractError(f"{len(skips)} cached skip tensors were never consumed")
         logits = self.head(y)
         return F.bilinear_upsample2x(logits)
 
 
-def _crop_square(hwc: Tensor, before: tuple[int, int], r: int) -> Tensor:
-    from .layout import crop_hw
+class SegnetrModel(UNet):
+    """The skeleton with stacks of ``depths[s]`` SegNetr blocks per stage."""
 
-    return crop_hw(hwc, before[0], before[1], r, r)
+    def __init__(self, cfg: ModelConfig, *, dtype=np.float32):
+        def stage(channels: int, s: int, rng) -> ModuleList:
+            return ModuleList(
+                SegnetrBlock(channels, cfg.patch_schedule[s], cfg.interaction_mode, rng=rng, dtype=dtype)
+                for _ in range(cfg.depths[s])
+            )
 
+        super().__init__(cfg, stage, dtype=dtype)
+        # At depth 8 the 0.5-weighted branch fusion compounds activation scale
+        # by ~2x per block, which stalls optimization at a fixed 1e-4 learning
+        # rate.  Ramping the fusion weights from zero (they stay learnable and
+        # lift off immediately) and starting the head at zero logits keeps the
+        # assembled model trainable; standalone blocks keep the 0.5 init.
+        self.head.weight.data[...] = 0
+        for name, p in self.named_parameters():
+            if name.endswith(("alpha_local", "alpha_global")):
+                p.data[...] = 0
 
-def _crop_square_nchw(y: Tensor, before: tuple[int, int], r: int) -> Tensor:
-    if y.shape[-1] == r and y.shape[-2] == r:
+    def run_stage(self, stage: ModuleList, y: Tensor) -> Tensor:
+        # each block is called from here, not through the list, so every
+        # block is a direct child of the model's call
+        for block in stage:
+            y = block(y)
         return y
-    from .autodiff.tensor import slice_
-
-    top, left = before
-    return slice_(y, (Ellipsis, slice(top, top + r), slice(left, left + r)))
 
 
 class DoubleConv(Module):
@@ -252,69 +250,17 @@ class DoubleConv(Module):
         return conv_norm(h, self.conv2, self.norm2, silu=True)
 
 
-class MiniUnet(Module):
-    """Four-stage double-conv U-Net sharing SegNetr's downsampling skeleton
-    (patch merge + 1×1 projection), so the IRSC skip plugs in unchanged."""
+class MiniUnet(UNet):
+    """The skeleton with one double-conv body per stage, so the IRSC skip
+    plugs into a plain U-Net unchanged."""
 
     def __init__(self, cfg: ModelConfig, *, dtype=np.float32):
-        super().__init__()
-        cfg.validate()
-        self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
-        chans = cfg.channels
-        c0 = chans[0]
-
-        self.stem = Conv2d(3, c0, 3, stride=2, padding=1, bias=False, rng=rng, dtype=dtype)
-        self.stem_norm = BatchNorm2d(c0, dtype=dtype)
-        self.encoder_stages = ModuleList()
-        self.merge_projections = ModuleList()
-        for s in range(NUM_STAGES):
-            self.encoder_stages.append(DoubleConv(chans[s], rng=rng, dtype=dtype))
-            out_c = chans[s + 1] if s + 1 < NUM_STAGES else chans[-1]
-            self.merge_projections.append(Conv2d(4 * chans[s], out_c, 1, rng=rng, dtype=dtype))
-        self.fuse_projections = ModuleList()
-        self.decoder_stages = ModuleList()
-        for s in reversed(range(NUM_STAGES)):
-            carry = chans[s + 1] if s + 1 < NUM_STAGES else chans[-1]
-            skip_c = chans[s] // 2 if cfg.skip_mode == "irsc" else chans[s]
-            self.fuse_projections.append(Conv2d(carry + skip_c, chans[s], 1, rng=rng, dtype=dtype))
-            self.decoder_stages.append(DoubleConv(chans[s], rng=rng, dtype=dtype))
-        self.head = Conv2d(c0, cfg.num_classes, 1, rng=rng, dtype=dtype)
-        self.skips_consumed = 0
-
-    def forward(self, x: Tensor) -> Tensor:
-        res = self.cfg.resolution
-        if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != res or x.shape[3] != res:
-            raise ShapeError(f"expected input (N, 3, {res}, {res}), got {x.shape}")
-        y = conv_norm(x, self.stem, self.stem_norm, silu=True)
-        skips = []
-        for s in range(NUM_STAGES):
-            y = self.encoder_stages[s](y)
-            padded, before, _ = pad_to_multiple(nchw_to_hwc(y), 2)
-            merged = patch_merge(padded)
-            skips.append((y if self.cfg.skip_mode == "concat" else merged, before))
-            y = self.merge_projections[s](hwc_to_nchw(merged))
-        resolutions = self.cfg.stage_resolutions()
-        for i, s in enumerate(reversed(range(NUM_STAGES))):
-            y = F.bilinear_upsample2x(y)
-            r = resolutions[s]
-            payload, before = skips.pop()
-            if self.cfg.skip_mode == "irsc":
-                up = _crop_square(nchw_to_hwc(y), before, r)
-                y = hwc_to_nchw(irsc_fuse(payload, up, before))
-            else:
-                y = _crop_square_nchw(y, before, r)
-                y = concat([y, payload], axis=1)
-            self.skips_consumed += 1
-            y = self.fuse_projections[i](y)
-            y = self.decoder_stages[i](y)
-        logits = self.head(y)
-        return F.bilinear_upsample2x(logits)
+        super().__init__(cfg, lambda channels, s, rng: DoubleConv(channels, rng=rng, dtype=dtype), dtype=dtype)
 
 
-def build(cfg: ModelConfig, *, dtype=np.float32, parity: str = "cross") -> Module:
+def build(cfg: ModelConfig, *, dtype=np.float32) -> UNet:
     """Construct the model named by ``cfg.variant`` (seeded, deterministic)."""
     cfg.validate()
     if cfg.variant == "mini-unet":
         return MiniUnet(cfg, dtype=dtype)
-    return SegnetrModel(cfg, dtype=dtype, parity=parity)
+    return SegnetrModel(cfg, dtype=dtype)

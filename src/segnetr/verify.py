@@ -15,7 +15,7 @@ are held to 1e-6, everything else to 1e-3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .autodiff.tensor import (
     Tensor,
     concat,
     exp,
-    gather,
     log,
     mean,
     pad,
@@ -33,7 +32,6 @@ from .autodiff.tensor import (
     slice_,
     sqrt,
     sum_,
-    tanh,
     transpose,
 )
 from .blocks import SegnetrBlock, WindowAttention, irsc_fuse
@@ -71,7 +69,7 @@ def _round_trip_cases(rng: np.random.Generator, p: int, n_cases: int):
         yield Tensor(rng.standard_normal(lead + (h, w, c)).astype(np.float32))
 
 
-def layout_suite(seed: int = 0, cases_per_p: int = 50, parity: str = "cross") -> list[CheckResult]:
+def layout_suite(seed: int = 0, cases_per_p: int = 50) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     for p in (1, 2, 4, 8):
@@ -82,7 +80,7 @@ def layout_suite(seed: int = 0, cases_per_p: int = 50, parity: str = "cross") ->
             if not np.array_equal(back.data, x.data):
                 lr_ok, detail = False, f"LR∘LP mismatch at {x.shape}"
                 break
-            ws = global_partition(x, p, pad=True, parity=parity)
+            ws = global_partition(x, p, pad=True)
             reference = np.concatenate(
                 [x.data.reshape(-1), np.zeros(ws.windows.size - x.size, dtype=x.data.dtype)]
             )
@@ -101,11 +99,11 @@ def layout_suite(seed: int = 0, cases_per_p: int = 50, parity: str = "cross") ->
                     pr_ok, detail = False, f"PR∘PM mismatch at {even.shape}"
                     break
         results.append(CheckResult(f"round-trips p={p}", lr_ok and gr_ok and pr_ok and multiset_ok, detail))
-    results.append(_non_vacuity(parity))
+    results.append(_non_vacuity())
     return results
 
 
-def _non_vacuity(parity: str) -> CheckResult:
+def _non_vacuity() -> CheckResult:
     """Provenance check: displace block-id labels and demand every 2P window
     mixes ≥ 2 source blocks, on every grid with ≥ 2×2 blocks of size 2P."""
     for p in (1, 2, 4, 8):
@@ -115,7 +113,7 @@ def _non_vacuity(parity: str) -> CheckResult:
                 h, w = bh * win, bw * win
                 ids = (np.arange(h)[:, None] // win) * bw + (np.arange(w)[None, :] // win)
                 labels = Tensor(ids.astype(np.float32)[..., None])
-                moved = displace(labels, DisplacementSpec(p, parity))
+                moved = displace(labels, DisplacementSpec(p))
                 ws = local_partition(moved, win)
                 flat = ws.windows.data.reshape(ws.grid.num_windows, -1)
                 counts = (np.sort(flat, axis=1)[:, 1:] != np.sort(flat, axis=1)[:, :-1]).sum(axis=1) + 1
@@ -151,7 +149,6 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     case("exp", GENERAL_TOL, exp, _t(rng, 3, 3, scale=0.5))
     case("log", GENERAL_TOL, log, _t(rng, 3, 3, shift=3.0))
     case("sqrt", GENERAL_TOL, sqrt, _t(rng, 3, 3, shift=3.0))
-    case("tanh", GENERAL_TOL, tanh, _t(rng, 3, 3))
     case("relu", GENERAL_TOL, F.relu, _t(rng, 4, 4, shift=0.3))
     case("sigmoid", GENERAL_TOL, F.sigmoid, _t(rng, 4, 4))
     case("silu", GENERAL_TOL, F.silu, _t(rng, 4, 4))
@@ -163,7 +160,6 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
     case("concat", AFFINE_TOL, lambda x, y: concat([x, y], axis=1), a, b)
     case("slice", AFFINE_TOL, lambda x: slice_(x, (slice(1, 3), slice(0, 2))), _t(rng, 4, 4))
     case("pad", AFFINE_TOL, lambda x: pad(x, ((1, 1), (0, 2))), _t(rng, 3, 3))
-    case("gather", AFFINE_TOL, lambda x: gather(x, np.array([2, 0, 2]), axis=0), _t(rng, 4, 3))
     case("sum", AFFINE_TOL, lambda x: sum_(x, axis=1), _t(rng, 3, 5))
     case("mean keepdims", AFFINE_TOL, lambda x: mean(x, axis=(1, 2), keepdims=True), _t(rng, 2, 3, 4))
     case("softmax", GENERAL_TOL, lambda x: F.softmax(x, axis=-1), _t(rng, 4, 6))
@@ -221,7 +217,7 @@ def gradient_suite(seed: int = 0) -> list[CheckResult]:
         x = _t(rng, 4, 4, 8)
 
         def fn(xx):
-            ws = global_partition(xx, 1, parity="cross")
+            ws = global_partition(xx, 1)
             back = global_reverse(ws)
             merged = patch_merge(back)
             return patch_reverse(alternate_select(merged))

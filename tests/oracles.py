@@ -79,25 +79,23 @@ def window_of(i: int, j: int, p: int, grid_cols: int) -> tuple[int, int]:
     return (i // p) * grid_cols + (j // p), (i % p) * p + (j % p)
 
 
-def displace_map_naive(rows: int, cols: int, parity: str = "cross") -> dict:
+def displace_map_naive(rows: int, cols: int) -> dict:
     """Destination patch for every source patch under the two-pass rule:
-    horizontal shift by +1 (even) / -1 (odd) selector patches, cyclic, then
-    vertical likewise on the shifted grid."""
+    horizontal shift by +1 (even row) / -1 (odd row), cyclic, then vertical
+    likewise by the parity of the shifted column."""
     dest = {}
     for r in range(rows):
         for c in range(cols):
-            sel = r if parity == "cross" else c
-            c1 = (c + (1 if sel % 2 == 0 else -1)) % cols
-            sel2 = c1 if parity == "cross" else r
-            r1 = (r + (1 if sel2 % 2 == 0 else -1)) % rows
+            c1 = (c + (1 if r % 2 == 0 else -1)) % cols
+            r1 = (r + (1 if c1 % 2 == 0 else -1)) % rows
             dest[(r, c)] = (r1, c1)
     return dest
 
 
-def displace_naive(x: np.ndarray, p: int, parity: str = "cross") -> np.ndarray:
+def displace_naive(x: np.ndarray, p: int) -> np.ndarray:
     h, w = x.shape[0], x.shape[1]
     out = np.empty_like(x)
-    dest = displace_map_naive(h // p, w // p, parity)
+    dest = displace_map_naive(h // p, w // p)
     for (r, c), (r1, c1) in dest.items():
         out[r1 * p : (r1 + 1) * p, c1 * p : (c1 + 1) * p] = x[r * p : (r + 1) * p, c * p : (c + 1) * p]
     return out
@@ -317,12 +315,12 @@ def window_attention_naive(windows, gamma, beta, w1, b1, w2, b2, eps=1e-5):
     return np.array(rows)
 
 
-def branch_naive(x, p, win, gamma, beta, w1, b1, w2, b2, parity="cross", displaced=False):
+def branch_naive(x, p, win, gamma, beta, w1, b1, w2, b2, displaced=False):
     """Scalar oracle for a whole interaction branch on one (h, w, c) tensor:
     (optionally displace), zero-pad to a multiple of ``win`` (centred, the
     odd pixel after), window, attend, rescale by the area, weight values,
     crop back, (un-displace)."""
-    src = displace_naive(x, p, parity) if displaced else x
+    src = displace_naive(x, p) if displaced else x
     h, w, c = src.shape
     ph, pw = (-h) % win, (-w) % win
     top, left = ph // 2, pw // 2
@@ -345,7 +343,7 @@ def branch_naive(x, p, win, gamma, beta, w1, b1, w2, b2, parity="cross", displac
             out[i, j] = src[i, j] * attn[wi, off] * area
     if displaced:
         inv = np.empty_like(out)
-        dest = displace_map_naive(h // p, w // p, parity)
+        dest = displace_map_naive(h // p, w // p)
         for (r, cc), (r1, c1) in dest.items():
             inv[r * p : (r + 1) * p, cc * p : (cc + 1) * p] = out[r1 * p : (r1 + 1) * p, c1 * p : (c1 + 1) * p]
         return inv

@@ -32,12 +32,10 @@ from segnetr.autodiff.tensor import (
     _make_output,
     active_tape,
     exp,
-    gather,
     log,
     no_grad,
     slice_,
     sqrt,
-    tanh,
 )
 from segnetr.blocks import BatchNorm2d, Conv2d, conv_norm
 from segnetr.errors import ContractError
@@ -284,7 +282,6 @@ def _op_inventory(rng):
         ("exp", GENERAL, exp, [t(3, 3, scale=0.5)]),
         ("log", GENERAL, log, [t(3, 3, shift=3.0)]),
         ("sqrt", GENERAL, sqrt, [t(3, 3, shift=3.0)]),
-        ("tanh", GENERAL, tanh, [t(3, 3)]),
         ("relu", GENERAL, relu, [t(4, 4, shift=0.3)]),
         ("sigmoid", GENERAL, sigmoid, [t(4, 4)]),
         ("silu", GENERAL, silu, [t(4, 4)]),
@@ -296,7 +293,6 @@ def _op_inventory(rng):
         ("concat", AFFINE, lambda x, y: concat([x, y], axis=1), [t(3, 2), t(3, 4)]),
         ("slice", AFFINE, lambda x: slice_(x, (slice(1, 3), slice(0, 2))), [t(4, 4)]),
         ("pad", AFFINE, lambda x: pad(x, ((1, 1), (0, 2))), [t(3, 3)]),
-        ("gather", AFFINE, lambda x: gather(x, np.array([2, 0, 2]), axis=0), [t(4, 3)]),
         ("sum", AFFINE, lambda x: sum_(x, axis=1), [t(3, 5)]),
         ("mean", AFFINE, lambda x: mean(x, axis=(1, 2), keepdims=True), [t(2, 3, 4)]),
         ("softmax", GENERAL, lambda x: softmax(x, axis=-1), [t(4, 6)]),

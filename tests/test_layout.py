@@ -114,28 +114,20 @@ class TestDisplace:
         (0, "cross", (8, 8, 2), 2),
         (1, "cross", (6, 10, 1), 2),
         (2, "cross", (3, 5, 2), 1),
-        (3, "own", (8, 8, 2), 2),
-        (4, "own", (4, 12, 3), 2),
     ])
     def test_matches_two_pass_oracle(self, case, parity, shape, p):
         x = rand(shape, seed=case)
-        got = displace(x, DisplacementSpec(p, parity)).data
-        np.testing.assert_array_equal(got, displace_naive(x.data, p, parity))
+        got = displace(x, DisplacementSpec(p)).data
+        np.testing.assert_array_equal(got, displace_naive(x.data, p))
 
     def test_inverse_restores_bitwise(self):
         x = rand((8, 8, 2), seed=5)
         spec = DisplacementSpec(2)
         np.testing.assert_array_equal(undisplace(displace(x, spec), spec).data, x.data)
 
-    def test_own_parity_needs_even_grid(self):
-        with pytest.raises(LayoutError):
-            displace(rand((3, 4, 1)), DisplacementSpec(1, "own"))
-
     def test_bad_spec_rejected(self):
         with pytest.raises(LayoutError):
             DisplacementSpec(0)
-        with pytest.raises(LayoutError):
-            DisplacementSpec(2, "diagonal")
 
     def test_non_divisible_rejected(self):
         with pytest.raises(LayoutError):
