@@ -21,7 +21,7 @@ from .autodiff import functional as F
 from .autodiff.adam import Adam
 from .autodiff.module import Module
 from .autodiff.tensor import Tensor, active_tape, backward, no_grad
-from .costs import ConfusionCounts, Metrics, confusion, iou_dice
+from .costs import Metrics, confusion, iou_dice
 from .data import SyntheticDataset, gen_synthetic
 from .errors import (
     CheckpointMagicError,

@@ -11,11 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from segnetr.cli import _load_config, main
-from segnetr.errors import ConfigError
 from segnetr.model import ModelConfig
 from segnetr.verify import CheckResult
 

@@ -1,6 +1,5 @@
 """Model assembly tests: config validation, shape laws, determinism."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
