@@ -451,7 +451,7 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
     running_var += momentum * var
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
     # y = (x − μ)·inv_std·γ + β, built in the x − μ buffer: no x̂ outlives
-    # the forward, the rule recomputes it from the input the tape keeps
+    # the forward, the rule recomputes it from the input the graph keeps
     y *= inv_std
     y *= gamma4
     y += beta4

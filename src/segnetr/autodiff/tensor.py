@@ -1,18 +1,20 @@
-"""Dense tensors with taped reverse-mode differentiation.
+"""Dense tensors with graph-owned reverse-mode differentiation.
 
-The engine is deliberately small: a ``Tensor`` wraps a numpy array, and every
-differentiable operation appends one entry to a module-level ``GradientTape``
-(execution order equals topological order, so the backward sweep is a single
-reverse pass).  Scalars are float32 by default; the gradient checker builds
-float64 graphs through the same code path.
+A ``Tensor`` wraps a numpy array.  Every differentiable op on a tracked
+input records ``(seq, inputs, rule)`` on its output, ``seq`` counting ops in
+execution order, and ``backward`` runs the rules reachable from the loss in
+descending ``seq``.  Scalars are float32 by default; the gradient checker
+builds float64 graphs through the same code path.
 
-Every ``backward`` call empties the tape as it runs, freeing each op's saved
-arrays once its rule has run, which bounds memory in a training loop.
-Evaluation code should run under ``no_grad()`` so the tape does not grow.
+A graph lives only as long as its outputs, and ``backward`` frees each op's
+saved arrays once its rule has run.  ``no_grad()`` stops recording in the
+calling thread only.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,45 +25,26 @@ DEFAULT_DTYPE = np.float32
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-
-class GradientTape:
-    """Ordered record of executed operations.
-
-    Each entry is ``(output, inputs, backward_fn)`` where ``backward_fn``
-    maps the gradient at the output to one gradient array (or ``None``) per
-    input.  Gradient accumulation across fan-out is additive.
-    """
-
-    __slots__ = ("entries", "enabled")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple["Tensor", tuple["Tensor", ...], Callable]] = []
-        self.enabled = True
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
+_SEQ = itertools.count()
 
 
-_TAPE = GradientTape()
+class _GradMode(threading.local):
+    enabled = True
 
 
-def active_tape() -> GradientTape:
-    return _TAPE
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that suspends recording (used by eval loops)."""
+    """Context manager that suspends recording in this thread (eval loops)."""
 
     def __enter__(self):
-        self._prev = _TAPE.enabled
-        _TAPE.enabled = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _TAPE.enabled = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
@@ -79,10 +62,11 @@ class Tensor:
 
     ``requires_grad`` is only meaningful on leaves (tensors the user created);
     tensors produced by operations propagate tracking automatically.  A tensor
-    with ``requires_grad=False`` never accumulates gradient.
+    with ``requires_grad=False`` never accumulates gradient.  An op's output
+    holds its record in ``_node`` until ``backward`` consumes it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_leaf", "_tracked")
+    __slots__ = ("data", "grad", "requires_grad", "_leaf", "_tracked", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
@@ -90,6 +74,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._leaf = True
         self._tracked = self.requires_grad
+        self._node = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -192,12 +177,13 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
     out.requires_grad = False
     out._leaf = True
     out._tracked = False
-    if _TAPE.enabled:
+    out._node = None
+    if _GRAD_MODE.enabled:
         for t in inputs:
             if t._tracked:
                 out._leaf = False
                 out._tracked = True
-                _TAPE.entries.append((out, tuple(inputs), backward_fn))
+                out._node = (next(_SEQ), tuple(inputs), backward_fn)
                 break
     return out
 
@@ -205,43 +191,51 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tracked leaf reachable from ``loss``.
 
-    The tape is walked once in reverse execution order, popping each entry
-    as it is handled: the entry's output, rule and incoming gradient are
-    dropped before the next rule runs, so an op's saved arrays are freed as
-    soon as its gradient has been taken.  The tape is empty afterwards.
-
-    A recorded loss whose entry is no longer on the tape (an earlier
-    ``backward`` consumed its graph) raises ``ContractError`` and leaves the
-    tape as it is, instead of returning with no gradients.
+    The ops reachable from ``loss`` run in descending ``seq``, each record
+    cleared as it is handled, so an op's saved arrays are freed as soon as
+    its gradient has been taken.  Independent graphs may be pending at once;
+    if a reachable op was consumed by an earlier ``backward`` (the same loss,
+    or one sharing its subgraph), ``ContractError`` is raised before any
+    rule runs.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     seed = np.ones_like(loss.data)
-    flowing: dict[int, np.ndarray] = {}
     if loss._leaf:
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
-        _TAPE.clear()
         return
-    entries = _TAPE.entries
-    for out, _, _ in reversed(entries):
-        if out is loss:
-            break
-    else:
-        raise ContractError(
-            "backward: the loss's graph is no longer on the tape; an earlier backward "
-            "consumed it (build the loss again to take its gradient)"
-        )
-    flowing[id(loss)] = seed
-    while entries:
-        out, inputs, backward_fn = entries.pop()
+    pending = _reachable_ops(loss)
+    pending.sort(key=lambda t: t._node[0])
+    flowing = {id(loss): seed}
+    while pending:
+        out = pending.pop()
+        _, inputs, backward_fn = out._node
+        out._node = None
         g = flowing.pop(id(out), None)
         if g is not None:
             _accumulate(inputs, backward_fn(g), flowing)
 
 
+def _reachable_ops(loss: Tensor) -> list[Tensor]:
+    found, stack, seen = [], [loss], {id(loss)}
+    while stack:
+        t = stack.pop()
+        if t._node is None:
+            raise ContractError(
+                "backward: part of the loss's graph was consumed by an earlier backward "
+                "(build the loss again to take its gradient)"
+            )
+        found.append(t)
+        for i in t._node[1]:
+            if not i._leaf and id(i) not in seen:
+                seen.add(id(i))
+                stack.append(i)
+    return found
+
+
 def _accumulate(inputs: tuple[Tensor, ...], input_grads, flowing: dict[int, np.ndarray]) -> None:
-    # a function of its own, so no gradient outlives the entry that made it
+    # a function of its own, so no gradient outlives the record that made it
     for t, gi in zip(inputs, input_grads):
         if gi is None or not t._tracked:
             continue

@@ -74,6 +74,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {args.samples}")
     cfg = _load_config(args.config, toy_config())
     model = build(cfg)
     try:
@@ -182,7 +184,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

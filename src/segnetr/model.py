@@ -46,6 +46,14 @@ SKIP_MODES = ("irsc", "concat")
 _VARIANT_CHANNELS = {"segnetr": 64, "segnetr-s": 32, "mini-unet": 16}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _are_ints(values, n: int) -> bool:
+    return isinstance(values, tuple) and len(values) == n and all(_is_int(v) for v in values)
+
+
 @dataclass
 class ModelConfig:
     variant: str = "segnetr"
@@ -63,7 +71,7 @@ class ModelConfig:
             self.patch_schedule = tuple(self.patch_schedule)
         if isinstance(self.depths, list):
             self.depths = tuple(self.depths)
-        if self.base_channels is None:
+        if self.base_channels is None and isinstance(self.variant, str):
             self.base_channels = _VARIANT_CHANNELS.get(self.variant)
 
     @property
@@ -77,7 +85,7 @@ class ModelConfig:
         """Raise ConfigError naming the first violated constraint."""
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.base_channels is None or self.base_channels < 2 or self.base_channels % 2:
+        if not _is_int(self.base_channels) or self.base_channels < 2 or self.base_channels % 2:
             raise ConfigError(
                 f"base_channels must be a positive even integer, got {self.base_channels!r}"
             )
@@ -87,19 +95,19 @@ class ModelConfig:
             )
         if self.skip_mode not in SKIP_MODES:
             raise ConfigError(f"skip_mode must be one of {SKIP_MODES}, got {self.skip_mode!r}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
-        if len(self.depths) != NUM_STAGES or any(d < 1 for d in self.depths):
-            raise ConfigError(f"depths must be {NUM_STAGES} positive integers, got {self.depths}")
-        if self.resolution < 32 or self.resolution % 2**NUM_STAGES:
+        if not _is_int(self.num_classes) or self.num_classes < 2:
+            raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
+        if not _are_ints(self.depths, NUM_STAGES) or any(d < 1 for d in self.depths):
+            raise ConfigError(f"depths must be {NUM_STAGES} positive integers, got {self.depths!r}")
+        if not _is_int(self.resolution) or self.resolution < 32 or self.resolution % 2**NUM_STAGES:
             raise ConfigError(
                 f"resolution must be a multiple of {2**NUM_STAGES} and at least 32 "
                 f"(stage resolutions {self.resolution}/2^(s+1) must be integers), "
-                f"got {self.resolution}"
+                f"got {self.resolution!r}"
             )
-        if len(self.patch_schedule) != NUM_STAGES or any(p < 1 for p in self.patch_schedule):
+        if not _are_ints(self.patch_schedule, NUM_STAGES) or any(p < 1 for p in self.patch_schedule):
             raise ConfigError(
-                f"patch_schedule must be {NUM_STAGES} positive integers, got {self.patch_schedule}"
+                f"patch_schedule must be {NUM_STAGES} positive integers, got {self.patch_schedule!r}"
             )
         for s, (p, r) in enumerate(zip(self.patch_schedule, self.stage_resolutions())):
             if r % p:
@@ -107,6 +115,8 @@ class ModelConfig:
                     f"patch size {p} does not divide stage {s} resolution {r} "
                     f"(schedule {self.patch_schedule} at resolution {self.resolution})"
                 )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     # -- JSON round trip -------------------------------------------------------
 

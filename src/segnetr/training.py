@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import functional as F
 from .autodiff.adam import Adam
 from .autodiff.module import Module
-from .autodiff.tensor import Tensor, active_tape, backward, no_grad
+from .autodiff.tensor import Tensor, backward, no_grad
 from .costs import Metrics, confusion, iou_dice
 from .data import SyntheticDataset, gen_synthetic
 from .errors import (
@@ -106,9 +106,9 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
 
     Per step: forward, cross-entropy, backward, Adam update, loss logged.
     Held-out IoU/Dice are computed every ``eval_interval`` steps and at the
-    end.  A non-finite loss aborts with a TrainingError naming the step,
-    after dropping the step's pending graph so it does not outlive the
-    error.
+    end.  A non-finite loss aborts with a TrainingError naming the step;
+    the step's logits and loss, which own its graph, are dropped first, so
+    the traceback does not keep the graph alive.
     """
     cfg = run.cfg
     cfg.validate()
@@ -131,7 +131,7 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
         loss = F.cross_entropy(logits, train_ds.masks[idx])
         loss_value = float(loss.data)
         if not math.isfinite(loss_value):
-            active_tape().clear()
+            del logits, loss
             raise TrainingError(f"non-finite loss {loss_value} at step {step}")
         run.loss_history.append(loss_value)
         optimizer.zero_grad()

@@ -11,7 +11,7 @@ import types
 import numpy as np
 
 from segnetr.autodiff.module import Parameter
-from segnetr.autodiff.tensor import Tensor, active_tape
+from segnetr.autodiff.tensor import Tensor
 
 CRITERION_LINES: list[str] = []
 
@@ -73,18 +73,33 @@ def closure_arrays(rule) -> list:
     return found
 
 
-def graph_saved_bytes() -> int:
-    """Bytes of the distinct non-parameter buffers the pending graph keeps
-    alive: every tape entry's output and inputs and its rule's closure
-    cells.  Views count once, as the array that owns their memory;
-    parameters and arrays viewing them are left out."""
-    entries = active_tape().entries
+def graph_nodes(loss: Tensor) -> list:
+    """``(output, inputs, rule)`` of every pending recorded op reachable
+    from ``loss``, in creation order."""
+    found, stack, seen = [], [loss], set()
+    while stack:
+        t = stack.pop()
+        if t._node is None or id(t) in seen:
+            continue
+        seen.add(id(t))
+        found.append(t)
+        stack.extend(t._node[1])
+    found.sort(key=lambda t: t._node[0])
+    return [(t, t._node[1], t._node[2]) for t in found]
+
+
+def graph_saved_bytes(loss: Tensor) -> int:
+    """Bytes of the distinct non-parameter buffers the pending graph of
+    ``loss`` keeps alive: every reachable op's output and inputs and its
+    rule's closure cells.  Views count once, as the array that owns their
+    memory; parameters and arrays viewing them are left out."""
+    nodes = graph_nodes(loss)
     params, seen, total = set(), set(), 0
-    for _, inputs, _ in entries:
+    for _, inputs, _ in nodes:
         for t in inputs:
             if isinstance(t, Parameter):
                 params.add(id(_root(t.data)))
-    for out, inputs, rule in entries:
+    for out, inputs, rule in nodes:
         arrays = [out.data]
         arrays += [t.data for t in inputs if not isinstance(t, Parameter)]
         arrays += closure_arrays(rule)

@@ -73,6 +73,26 @@ class TestSummarize:
         assert main(["summarize", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, field", [
+        ('{"seed": -3}', "seed"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"resolution": "224"}', "resolution"),
+        ('{"depths": 3}', "depths"),
+        ('{"patch_schedule": [8, 4, 2, "1"]}', "patch_schedule"),
+        ('{"variant": ["segnetr"]}', "variant"),
+    ])
+    def test_wrongly_typed_config_field_exits_2(self, tmp_path, capsys, raw, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(raw, encoding="utf-8")
+        assert main(["summarize", "--config", str(bad)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {field} must be")
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["summarize", "--config", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and str(tmp_path) in line
+
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dropout": 0.5}', encoding="utf-8")
@@ -109,6 +129,16 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    def test_out_is_an_existing_file_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        rc = main(["train", "--config", tiny_cfg_path, "--steps", "1",
+                   "--batch-size", "2", "--out", str(taken)])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and str(taken) in line
+
+
 class TestEval:
     def test_roundtrip_after_train(self, tiny_cfg_path, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -133,6 +163,18 @@ class TestEval:
         rc = main(["eval", "--checkpoint", "/nonexistent/model.ckpt",
                    "--config", tiny_cfg_path])
         assert rc == 2
+
+    def test_checkpoint_directory_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", str(tmp_path), "--config", tiny_cfg_path])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and str(tmp_path) in line
+
+    def test_zero_samples_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        rc = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                   "--config", tiny_cfg_path, "--samples", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: samples must be >= 1, got 0\n"
 
 
 class TestSuiteCommands:
@@ -205,6 +247,11 @@ class TestSeedOverride:
         monkeypatch.setenv("SEGNETR_SEED", "x1")
         assert main(["summarize", "--config", tiny_cfg_path]) == 2
         assert "SEGNETR_SEED must be an integer" in capsys.readouterr().err
+
+    def test_negative_env_seed_exits_2(self, tiny_cfg_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEGNETR_SEED", "-5")
+        assert main(["summarize", "--config", tiny_cfg_path]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -5\n"
 
     def test_env_seed_wins_over_config_seed(self, tiny_cfg_path, tmp_path, monkeypatch):
         # two configs that differ only in their file seed produce identical

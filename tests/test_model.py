@@ -1,19 +1,20 @@
 """Model assembly tests: config validation, shape laws, determinism."""
 
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from segnetr.autodiff import Module, Tensor, cross_entropy, no_grad
-from segnetr.autodiff.tensor import active_tape
 from segnetr.blocks import BatchNorm2d, SegnetrBlock
 from segnetr.costs import count_params
 from segnetr.errors import ConfigError, ShapeError
 from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build
 from segnetr.training import toy_config
 
-from .conftest import graph_saved_bytes, perturb_state
+from .conftest import graph_nodes, graph_saved_bytes, perturb_state
 
 SMALL = dict(base_channels=4, resolution=32, num_classes=2, seed=3)
 
@@ -40,8 +41,6 @@ class TestModelConfig:
         assert again == cfg
 
     def test_json_schema_keys(self):
-        import json
-
         keys = set(json.loads(ModelConfig().to_json()))
         assert keys == {
             "variant", "base_channels", "patch_schedule", "interaction_mode",
@@ -74,6 +73,30 @@ class TestModelConfig:
         setattr(cfg, field, value)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("variant", ["segnetr"]),
+        ("base_channels", "8"),
+        ("base_channels", 8.0),
+        ("num_classes", 2.0),
+        ("num_classes", True),
+        ("depths", 3),
+        ("depths", (1, 1, 1.0, 1)),
+        ("resolution", "224"),
+        ("patch_schedule", (8, 4, 2, "1")),
+        ("patch_schedule", "8421"),
+        ("seed", -3),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", None),
+    ])
+    def test_validation_names_wrongly_typed_field(self, field, value):
+        cfg = ModelConfig.from_json(json.dumps({**SMALL, field: value}))
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            cfg.validate()
+
+    def test_numpy_integers_accepted(self):
+        small_cfg(seed=np.int64(3), resolution=np.int64(32)).validate()
 
     def test_resolution_56_rejected(self):
         with pytest.raises(ConfigError):
@@ -203,29 +226,24 @@ def test_named_state_names_and_order_are_fixed():
 
 
 class TestOpCounts:
-    """Recorded graph nodes of one training forward plus its loss.  Each of
+    """Graph nodes reachable from the loss of one training forward.  Each of
     linear, layer norm, softmax, cross-entropy and a batch norm followed by
     SiLU is one node; a change that composes one of them from primitives
     again fails here by name."""
 
-    def _tape_length(self, model, x, labels):
-        active_tape().clear()
-        try:
-            cross_entropy(model.train()(x), labels)
-            return len(active_tape())
-        finally:
-            active_tape().clear()
+    def _node_count(self, model, x, labels):
+        return len(graph_nodes(cross_entropy(model.train()(x), labels)))
 
     def test_segnetr_block_forward_and_loss(self):
         block = SegnetrBlock(4, 2, "parallel", rng=np.random.default_rng(11), dtype=np.float64)
         x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 8, 8)), requires_grad=True)
         labels = np.random.default_rng(3).integers(0, 4, size=(2, 8, 8))
-        assert self._tape_length(block, x, labels) == 56
+        assert self._node_count(block, x, labels) == 56
 
     def test_toy_model_forward_and_loss(self):
         cfg = toy_config()
         labels = np.random.default_rng(4).integers(0, 2, size=(2, cfg.resolution, cfg.resolution))
-        assert self._tape_length(build(cfg), rand_input(res=cfg.resolution, seed=10), labels) == 524
+        assert self._node_count(build(cfg), rand_input(res=cfg.resolution, seed=10), labels) == 524
 
 
 class TestGraphMemory:
@@ -238,12 +256,25 @@ class TestGraphMemory:
         cfg = toy_config()
         labels = np.random.default_rng(4).integers(0, 2, size=(4, cfg.resolution, cfg.resolution))
         x = rand_input(n=4, res=cfg.resolution, seed=10)
-        active_tape().clear()
+        loss = cross_entropy(build(cfg).train()(x), labels)
+        assert graph_saved_bytes(loss) <= 91 * 2**20
+
+    def test_eval_forwards_outside_no_grad_keep_no_graph(self):
+        # a dropped output frees its graph, so forwards that are never
+        # backpropagated hold nothing once their outputs are gone
+        cfg = toy_config()
+        model = build(cfg).eval()
+        x = rand_input(n=1, res=cfg.resolution, seed=10)
+        model(x)  # first-call allocations are not the graph's
+        tracemalloc.start()
         try:
-            cross_entropy(build(cfg).train()(x), labels)
-            assert graph_saved_bytes() <= 91 * 2**20
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                model(x)
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
-            active_tape().clear()
+            tracemalloc.stop()
+        assert held <= 2**20
 
 
 class TestNumericsBudget:

@@ -29,7 +29,7 @@ from segnetr.autodiff import (
 )
 from segnetr.autodiff import batch_norm, batch_norm_silu, no_grad, sum_
 from segnetr.autodiff.functional import _interp_matrix
-from segnetr.autodiff.tensor import active_tape, mul
+from segnetr.autodiff.tensor import mul
 from segnetr.errors import ShapeError, ValidationError
 
 from .conftest import _root, closure_arrays, graph_saved_bytes
@@ -166,7 +166,7 @@ class TestFusedOps:
         y = op(*inputs)
         g = np.asarray(rng.standard_normal(y.shape)).astype(dtype)
         backward(sum_(y * Tensor(g)))
-        assert len(active_tape()) == 0
+        assert y._node is None
         assert y.data.dtype == dtype and all(t.grad.dtype == dtype for t in inputs)
         return y.data, g, [t.grad for t in inputs]
 
@@ -373,18 +373,13 @@ class TestMeanNorms:
         np.testing.assert_array_equal(rv, rv_before)
 
     def test_batch_norm_training_rule_keeps_no_full_size_array_but_its_input(self):
-        # x̂ is recomputed in the rule from the input the tape keeps
+        # x̂ is recomputed in the rule from the input the graph keeps
         x = Tensor(np.random.default_rng(17).standard_normal((4, 3, 5, 6)), requires_grad=True)
         g, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
-        active_tape().clear()
-        try:
-            y = batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True)
-            (entry,) = active_tape().entries
-            full = [a for a in closure_arrays(entry[2]) if a.size >= x.size]
-            assert len(full) == 1 and full[0] is x.data
-            assert graph_saved_bytes() <= x.data.nbytes + y.data.nbytes + 1024
-        finally:
-            active_tape().clear()
+        y = batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True)
+        full = [a for a in closure_arrays(y._node[2]) if a.size >= x.size]
+        assert len(full) == 1 and full[0] is x.data
+        assert graph_saved_bytes(y) <= x.data.nbytes + y.data.nbytes + 1024
 
     def test_batch_norm_singleton_statistics_rejected(self):
         x = Tensor(np.zeros((1, 3, 1, 1)))
@@ -473,14 +468,8 @@ def test_rule_keeps_no_full_size_array_but_its_input(name, op):
     # the fused node recomputes its pre-activation and the conv rules
     # rebuild their zero-padded input rows
     x = Tensor(np.random.default_rng(17).standard_normal((4, 3, 5, 6)), requires_grad=True)
-    active_tape().clear()
-    try:
-        op(x)
-        (entry,) = active_tape().entries
-        full = [a for a in closure_arrays(entry[2]) if a.size >= x.size]
-        assert full and all(_root(a) is x.data for a in full)
-    finally:
-        active_tape().clear()
+    full = [a for a in closure_arrays(op(x)._node[2]) if a.size >= x.size]
+    assert full and all(_root(a) is x.data for a in full)
 
 
 class TestActivations:
@@ -577,8 +566,8 @@ class TestWriteOnce:
         y = op(*inputs)
         assert not np.shares_memory(y.data, inputs[0].data)
         # the op's own rule, called directly, leaves its gradient and inputs alone
-        out, saved, rule = active_tape().entries[-1]
-        assert out is y and saved == tuple(inputs)
+        _, saved, rule = y._node
+        assert saved == tuple(inputs)
         g = np.asarray(rng.standard_normal(y.shape))
         g_before = g.tobytes()
         rule(g)

@@ -1,10 +1,12 @@
 """Training loop, evaluation, and checkpoint persistence tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from segnetr.autodiff import Tensor
-from segnetr.autodiff.tensor import active_tape
+from segnetr.autodiff import functional as F
 from segnetr.autodiff.module import Module
 from segnetr.data import gen_synthetic
 from segnetr.errors import (
@@ -73,12 +75,21 @@ class TestTrainLoop:
         assert len(run.loss_history) == 5
         assert [s for s, _, _ in run.metric_history] == [1, 3, 4]
 
-    def test_non_finite_loss_aborts_naming_the_step(self):
+    def test_non_finite_loss_aborts_naming_the_step(self, monkeypatch):
         model = build(small_cfg())
         model.stem.weight.data[...] = np.nan
-        with pytest.raises(TrainingError, match="at step 0"):
+        logits_refs = []
+        cross_entropy = F.cross_entropy
+
+        def recording_cross_entropy(logits, labels):
+            logits_refs.append(weakref.ref(logits.data))
+            return cross_entropy(logits, labels)
+
+        monkeypatch.setattr(F, "cross_entropy", recording_cross_entropy)
+        with pytest.raises(TrainingError, match="at step 0") as failure:
             train(small_run(), model=model)
-        assert len(active_tape()) == 0  # the failed step's graph is not kept
+        # the traceback held by ``failure`` does not keep the failed step's graph
+        assert failure.traceback and [ref() for ref in logits_refs] == [None]
 
     def test_target_dice_stops_early(self):
         run = small_run(steps=50, eval_interval=2, target_dice=0.0)
