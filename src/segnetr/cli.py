@@ -37,7 +37,7 @@ def _load_config(path: Optional[str], default: ModelConfig) -> ModelConfig:
 def _cmd_summarize(args) -> int:
     cfg = _load_config(args.config, ModelConfig())
     model = build(cfg)
-    report = cost_report(model, cfg.resolution, args.convention)
+    report = cost_report(model, convention=args.convention)
     sys.stdout.write(report.as_text())
     total = report.total(args.convention)
     print(f"params: {report.total_params:,} ({report.total_params / 1e6:.2f} M)")
@@ -122,12 +122,14 @@ def _cmd_layout_test(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args.config, toy_config())
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise ConfigError(f"--modes must name at least one interaction mode, got {args.modes!r}")
     rows = []
     for mode in modes:
         mode_cfg = replace(cfg, interaction_mode=mode)
         mode_cfg.validate()
         model = build(mode_cfg)
-        report = cost_report(model, mode_cfg.resolution)
+        report = cost_report(model)
         run = TrainRun(mode_cfg, steps=args.steps, eval_interval=max(1, args.steps // 2))
         try:
             train(run, model)

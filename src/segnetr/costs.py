@@ -138,11 +138,10 @@ class _Walk:
     def add(self, name: str, params: int, macs: int, eltops: int = 0, attn: bool = False):
         self.rows.append(CostRow(name, int(params), int(macs), int(eltops), attn))
 
-    def conv(self, name: str, mod, h: int, w: int, *, attn: bool = False) -> tuple[int, int]:
+    def conv(self, name: str, mod, h: int, w: int, *, attn: bool = False):
         out_c, in_per_group, k, _ = mod.weight.shape
         oh, ow = _conv_out(h, w, k, mod.stride, mod.padding)
         self.add(name, mod.num_params(), conv_macs(oh, ow, out_c, in_per_group * mod.groups, k, mod.groups), 0, attn)
-        return oh, ow
 
     def norm(self, name: str, mod, elements: int, *, attn: bool = False):
         self.add(name, mod.num_params(), 0, elements, attn)
@@ -157,12 +156,11 @@ class _Walk:
     def layout(self, name: str, *, attn: bool = False):
         self.add(name, 0, 0, 0, attn)
 
-    def upsample2x(self, name: str, c: int, h: int, w: int) -> tuple[int, int]:
+    def upsample2x(self, name: str, c: int, h: int, w: int):
         # separable two-tap interpolation: rows pass then columns pass
         rows_pass = (2 * h) * w * c * 2
         cols_pass = (2 * h) * (2 * w) * c * 2
         self.add(name, 0, rows_pass + cols_pass, 0)
-        return 2 * h, 2 * w
 
 
 def _ceil_to(value: int, multiple: int) -> int:
@@ -252,11 +250,12 @@ def cost_report(model: Module, input_hw: Union[int, tuple[int, int], None] = Non
                 convention: str = "mac") -> CostReport:
     """Walk ``model`` and account every layer at the given input size.
 
-    ``input_hw`` may be an int (square) or an (H, W) pair; both spatial
-    extents must be multiples of 16 so stage geometry mirrors the forward
-    pass.  Defaults to the model's configured resolution.
+    ``input_hw`` may be an int (square) or an (H, W) pair, and defaults to
+    the model's configured resolution.  Stage extents come from
+    ``model.stage_extents``, so the report accepts exactly the inputs the
+    forward accepts and raises the same ShapeError otherwise.
     """
-    from .model import NUM_STAGES, UNet
+    from .model import NUM_STAGES, UNet, stage_extents
 
     if not isinstance(model, UNet):
         raise ContractError(f"cost_report supports UNet models, got {type(model).__name__}")
@@ -265,40 +264,31 @@ def cost_report(model: Module, input_hw: Union[int, tuple[int, int], None] = Non
         input_hw = cfg.resolution
     if isinstance(input_hw, int):
         input_hw = (input_hw, input_hw)
-    h_in, w_in = input_hw
-    for extent in (h_in, w_in):
-        if extent < 32 or extent % 2**NUM_STAGES:
-            raise ValidationError(
-                f"input extent {extent} must be a multiple of {2**NUM_STAGES} and at least 32"
-            )
+    extents = stage_extents(*input_hw, cfg.patch_schedule)
 
     walk = _Walk()
     chans = cfg.channels
-    h, w = walk.conv("stem", model.stem, h_in, w_in)
+    walk.conv("stem", model.stem, *input_hw)
+    h, w = extents[0]
     walk.norm("stem_norm", model.stem_norm, chans[0] * h * w)
     walk.act("stem_silu", chans[0] * h * w)
 
-    stage_hw: list[tuple[int, int]] = []
     for s in range(NUM_STAGES):
-        stage_hw.append((h, w))
-        _stage_body(walk, model, f"encoder.{s}", model.encoder_stages[s], chans[s], h, w)
+        _stage_body(walk, model, f"encoder.{s}", model.encoder_stages[s], chans[s], *extents[s])
         walk.layout(f"encoder.{s}.patch_merge")
-        mh, mw = _ceil_to(h, 2) // 2, _ceil_to(w, 2) // 2
-        walk.conv(f"encoder.{s}.merge_proj", model.merge_projections[s], mh, mw)
-        h, w = mh, mw
+        walk.conv(f"encoder.{s}.merge_proj", model.merge_projections[s], *extents[s + 1])
 
     for i, s in enumerate(reversed(range(NUM_STAGES))):
         carry = chans[s + 1] if s + 1 < NUM_STAGES else chans[-1]
-        h, w = walk.upsample2x(f"decoder.{s}.upsample", carry, h, w)
-        h, w = stage_hw[s]
+        walk.upsample2x(f"decoder.{s}.upsample", carry, *extents[s + 1])
         walk.layout(f"decoder.{s}.skip")
-        walk.conv(f"decoder.{s}.fuse_proj", model.fuse_projections[i], h, w)
-        _stage_body(walk, model, f"decoder.{s}", model.decoder_stages[i], chans[s], h, w)
+        walk.conv(f"decoder.{s}.fuse_proj", model.fuse_projections[i], *extents[s])
+        _stage_body(walk, model, f"decoder.{s}", model.decoder_stages[i], chans[s], *extents[s])
 
-    h, w = walk.conv("head", model.head, h, w)
-    walk.upsample2x("head.upsample", cfg.num_classes, h, w)
+    walk.conv("head", model.head, *extents[0])
+    walk.upsample2x("head.upsample", cfg.num_classes, *extents[0])
 
-    report = CostReport(walk.rows, (h_in, w_in), convention)
+    report = CostReport(walk.rows, tuple(input_hw), convention)
     live = count_params(model)
     if report.total_params != live:
         raise ContractError(

@@ -1,17 +1,17 @@
 """Model assembly: one U-shaped skeleton whose stage bodies are SegNetr
 blocks (SegNetr / SegNetr-S) or double convs (a mini U-Net baseline).
 
-Geometry: a stride-2 stem halves the input, then four encoder stages run at
-resolution/2^(s+1) with channels (C, 2C, 4C, 8C) and the local patch
+Geometry (``stage_extents``): a stride-2 stem halves the input, then four
+encoder stages run with channels (C, 2C, 4C, 8C) and the local patch
 schedule (default 8, 4, 2, 1; global windows are always 2P).  Each stage ends
 with patch merge (cached for the skip path) and a 1×1 projection; the decoder
 mirrors the encoder with bilinear ×2 upsampling, skip fusion, a 1×1
 projection, and the same stage body.  The head is a 1×1 conv to num_classes
-followed by a final ×2 upsample back to the input resolution.
+followed by a final ×2 upsample back to the input extents.
 
-Odd stage resolutions (e.g. 7×7 from a 112 input) are handled by padding
-before patch merge and cropping after the matching upsample, recorded per
-stage so the round trip is exact.
+H and W are independent.  Odd stage extents (e.g. 7×7 from a 112 input, 15×11
+from 240×176) are handled by padding before patch merge and cropping after
+the matching upsample, recorded per stage so the round trip is exact.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .blocks import (
     irsc_fuse,
     nchw_to_hwc,
 )
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .layout import pad_to_multiple, patch_merge
 
 NUM_STAGES = 4
@@ -52,6 +52,25 @@ def _is_int(value) -> bool:
 
 def _are_ints(values, n: int) -> bool:
     return isinstance(values, tuple) and len(values) == n and all(_is_int(v) for v in values)
+
+
+def stage_extents(h: int, w: int, schedule: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The (H, W) of each stage for an (h, w) input, then the bottleneck's.
+
+    The stride-2 stem and each patch merge halve an extent, rounding up.  The
+    input must be even, so the final ×2 upsample gives it back, and each
+    stage's patch size must divide both of its extents, as the global
+    branch's displacement needs; ShapeError names the first violation.
+    """
+    if h < 2 or w < 2 or h % 2 or w % 2:
+        raise ShapeError(f"stem: input extents {h}x{w} must be even and at least 2")
+    extents = []
+    for s, p in enumerate((*schedule, 1)):  # the bottleneck, last, needs no tiling
+        h, w = -(-h // 2), -(-w // 2)
+        if h % p or w % p:
+            raise ShapeError(f"stage {s}: patch size {p} does not divide its extents {h}x{w}")
+        extents.append((h, w))
+    return tuple(extents)
 
 
 @dataclass
@@ -78,9 +97,6 @@ class ModelConfig:
     def channels(self) -> tuple[int, ...]:
         return tuple(self.base_channels * m for m in STAGE_MULTIPLIERS)
 
-    def stage_resolutions(self) -> tuple[int, ...]:
-        return tuple(self.resolution // 2 ** (s + 1) for s in range(NUM_STAGES))
-
     def validate(self) -> None:
         """Raise ConfigError naming the first violated constraint."""
         if self.variant not in VARIANTS:
@@ -99,22 +115,16 @@ class ModelConfig:
             raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
         if not _are_ints(self.depths, NUM_STAGES) or any(d < 1 for d in self.depths):
             raise ConfigError(f"depths must be {NUM_STAGES} positive integers, got {self.depths!r}")
-        if not _is_int(self.resolution) or self.resolution < 32 or self.resolution % 2**NUM_STAGES:
-            raise ConfigError(
-                f"resolution must be a multiple of {2**NUM_STAGES} and at least 32 "
-                f"(stage resolutions {self.resolution}/2^(s+1) must be integers), "
-                f"got {self.resolution!r}"
-            )
+        if not _is_int(self.resolution):
+            raise ConfigError(f"resolution must be an integer, got {self.resolution!r}")
         if not _are_ints(self.patch_schedule, NUM_STAGES) or any(p < 1 for p in self.patch_schedule):
             raise ConfigError(
                 f"patch_schedule must be {NUM_STAGES} positive integers, got {self.patch_schedule!r}"
             )
-        for s, (p, r) in enumerate(zip(self.patch_schedule, self.stage_resolutions())):
-            if r % p:
-                raise ConfigError(
-                    f"patch size {p} does not divide stage {s} resolution {r} "
-                    f"(schedule {self.patch_schedule} at resolution {self.resolution})"
-                )
+        try:
+            stage_extents(self.resolution, self.resolution, self.patch_schedule)
+        except ShapeError as exc:
+            raise ConfigError(f"resolution {self.resolution} does not fit the patch schedule: {exc}") from exc
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -185,33 +195,29 @@ class UNet(Module):
         return stage(y)
 
     def forward(self, x: Tensor) -> Tensor:
-        res = self.cfg.resolution
-        if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != res or x.shape[3] != res:
-            raise ShapeError(f"expected input (N, 3, {res}, {res}), got {x.shape}")
+        if x.ndim != 4 or x.shape[1] != 3:
+            raise ShapeError(f"expected input (N, 3, H, W), got {x.shape}")
+        stage_extents(x.shape[2], x.shape[3], self.cfg.patch_schedule)
         y = conv_norm(x, self.stem, self.stem_norm, silu=True)
         skips = []
         for s in range(NUM_STAGES):
             y = self.run_stage(self.encoder_stages[s], y)
-            padded, before, _ = pad_to_multiple(nchw_to_hwc(y), 2)
+            padded, before, hw = pad_to_multiple(nchw_to_hwc(y), 2)
             merged = patch_merge(padded)
-            skips.append((y if self.cfg.skip_mode == "concat" else merged, before))
+            skips.append((y if self.cfg.skip_mode == "concat" else merged, before, hw))
             y = self.merge_projections[s](hwc_to_nchw(merged))
-        resolutions = self.cfg.stage_resolutions()
-        for i, s in enumerate(reversed(range(NUM_STAGES))):
+        for i in range(NUM_STAGES):
             y = F.bilinear_upsample2x(y)
-            r = resolutions[s]
-            payload, before = skips.pop()
-            if y.shape[-1] != r:
+            payload, before, (h, w) = skips.pop()
+            if y.shape[-2:] != (h, w):
                 top, left = before
-                y = slice_(y, (Ellipsis, slice(top, top + r), slice(left, left + r)))
+                y = slice_(y, (Ellipsis, slice(top, top + h), slice(left, left + w)))
             if self.cfg.skip_mode == "irsc":
                 y = hwc_to_nchw(irsc_fuse(payload, nchw_to_hwc(y), before))
             else:
                 y = concat([y, payload], axis=1)
             y = self.fuse_projections[i](y)
             y = self.run_stage(self.decoder_stages[i], y)
-        if skips:
-            raise ContractError(f"{len(skips)} cached skip tensors were never consumed")
         logits = self.head(y)
         return F.bilinear_upsample2x(logits)
 

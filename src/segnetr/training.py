@@ -67,7 +67,6 @@ class TrainRun:
     eval_size: int = 16
     target_dice: Optional[float] = None
     out_dir: Optional[str] = None
-    seed: Optional[int] = None  # defaults to cfg.seed
     loss_history: list[float] = field(default_factory=list)
     metric_history: list[tuple[int, float, float]] = field(default_factory=list)
     checkpoint_path: Optional[str] = None
@@ -76,8 +75,6 @@ class TrainRun:
         for name, least in (("steps", 1), ("eval_interval", 1), ("batch_size", 2)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if self.seed is None:
-            self.seed = self.cfg.seed
 
 
 def predict(model: Module, images: np.ndarray, batch_size: int = 4) -> np.ndarray:
@@ -112,8 +109,11 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
     """
     cfg = run.cfg
     cfg.validate()
+    if run.out_dir is not None:
+        out = Path(run.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     train_seed, eval_seed, batch_seed = (
-        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(run.seed).spawn(3)
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
     train_ds = gen_synthetic(run.train_size, cfg.resolution, cfg.num_classes, train_seed)
     eval_ds = gen_synthetic(run.eval_size, cfg.resolution, cfg.num_classes, eval_seed)
@@ -153,8 +153,6 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
             break
 
     if run.out_dir is not None:
-        out = Path(run.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
         run.checkpoint_path = str(out / "model.ckpt")
         save_checkpoint(model, run.checkpoint_path)

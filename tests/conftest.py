@@ -9,9 +9,11 @@ in a plain ``pytest -v`` log.
 import types
 
 import numpy as np
+import pytest
 
+from segnetr.autodiff import functional as F
 from segnetr.autodiff.module import Parameter
-from segnetr.autodiff.tensor import Tensor
+from segnetr.autodiff.tensor import Tensor, no_grad
 
 CRITERION_LINES: list[str] = []
 
@@ -109,3 +111,31 @@ def graph_saved_bytes(loss: Tensor) -> int:
                 seen.add(id(root))
                 total += root.nbytes
     return total
+
+
+def forward_macs(model, h: int, w: int) -> dict[str, int]:
+    """MACs of one batch-1 eval forward at (h, w), per op, counted from the
+    ``conv2d``, ``linear`` and ``bilinear_upsample2x`` calls the forward
+    really makes, by the rules of the ``costs.py`` docstring: a conv's output
+    elements times its fan-in, a linear's output elements times ``d_in``, and
+    2 MACs per element of an upsample's row pass and of its output."""
+    rules = {
+        "conv2d": lambda args, out: out.size * int(np.prod(args[1].shape[1:])),
+        "linear": lambda args, out: out.size * args[1].shape[1],
+        "bilinear_upsample2x": lambda args, out: 2 * (out.size // 2) + 2 * out.size,
+    }
+    counts = dict.fromkeys(rules, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[name] += rules[name](args, out)
+            return out
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in rules:
+            mp.setattr(F, name, counting(name, getattr(F, name)))
+        with no_grad():
+            model.eval()(Tensor(np.zeros((1, 3, h, w), dtype=np.float32)))
+    return counts

@@ -26,7 +26,7 @@ from segnetr.training import (TrainRun, load_checkpoint, save_checkpoint,
                               toy_config, train)
 from segnetr.verify import gradient_suite, layout_suite
 
-from .conftest import CRITERION_LINES, perturb_state
+from .conftest import CRITERION_LINES, forward_macs, perturb_state
 from .oracles import schedule_attention_params
 
 
@@ -150,12 +150,19 @@ def test_criterion_5_linear_complexity():
     model = build(ModelConfig())
     base = cost_report(model, (224, 224)).attention_macs
     doubled = cost_report(model, (448, 224)).attention_macs
-    ok = base > 0 and doubled == 2 * base
+    # the same count from the window-attention linears real forwards run
+    run_base = forward_macs(model, 224, 224)["linear"]
+    run_doubled = forward_macs(model, 448, 224)["linear"]
+    ok = base > 0 and doubled == 2 * base and run_base > 0 and run_doubled == 2 * run_base
     _report("5 linear attention complexity", ok,
             f"attention MACs {base:,} at 224x224 vs {doubled:,} at 448x224, "
-            f"exact doubling: {doubled == 2 * base}")
+            f"exact doubling: {doubled == 2 * base}; real forwards "
+            f"{run_base:,} vs {run_doubled:,}, exact doubling: "
+            f"{run_doubled == 2 * run_base}")
     assert base > 0
     assert doubled == 2 * base
+    assert run_base > 0
+    assert run_doubled == 2 * run_base
 
 
 def test_criterion_6_toy_training():

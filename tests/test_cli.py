@@ -226,6 +226,13 @@ class TestAblate:
         assert rc == 2
         assert capsys.readouterr().err == "error: steps must be >= 1, got 0\n"
 
+    def test_empty_mode_list_exits_2(self, tiny_cfg_path, capsys):
+        rc = main(["ablate", "--config", tiny_cfg_path, "--modes", ",", "--steps", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --modes must name at least one interaction mode, got ','\n"
+
     def test_unknown_mode_exits_2(self, tiny_cfg_path, capsys):
         rc = main(["ablate", "--config", tiny_cfg_path, "--modes", "bogus"])
         assert rc == 2

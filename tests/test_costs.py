@@ -17,9 +17,10 @@ from segnetr.costs import (
     iou_dice,
     linear_macs,
 )
-from segnetr.errors import ContractError, ValidationError
+from segnetr.errors import ContractError, ShapeError, ValidationError
 from segnetr.model import ModelConfig, build
 
+from .conftest import forward_macs
 from .oracles import confusion_naive
 
 
@@ -99,8 +100,20 @@ class TestCostReport:
             cost_report(Linear(4, 4, rng=np.random.default_rng(3)), 32)
 
     def test_rejects_bad_input_extent(self):
-        with pytest.raises(ValidationError):
+        # the forward's own rule: 24 -> a 12x12 stage 0 that P=8 cannot tile
+        with pytest.raises(ShapeError, match="^stage 0: "):
             cost_report(small_model(), 24)
+
+    @pytest.mark.parametrize("variant", ["segnetr", "segnetr-s", "mini-unet"])
+    def test_totals_match_a_real_forward(self, variant):
+        # the walk against the ops a batch-1 eval forward really runs; every
+        # linear of the model is a window-attention FFN layer
+        model = build(ModelConfig(variant=variant))
+        for hw in [(224, 224), (448, 224), (240, 176), (112, 112)]:
+            counted = forward_macs(model, *hw)
+            report = cost_report(model, hw)
+            assert (sum(counted.values()), counted["linear"]) == (
+                report.total_macs, report.attention_macs), hw
 
     def test_count_flops_wraps_total(self):
         model = small_model()

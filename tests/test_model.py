@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segnetr.autodiff import Module, Tensor, cross_entropy, no_grad
+from segnetr.autodiff import Module, Tensor, cross_entropy, grad_check, no_grad
 from segnetr.blocks import BatchNorm2d, SegnetrBlock
 from segnetr.costs import count_params
 from segnetr.errors import ConfigError, ShapeError
-from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build
+from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build, stage_extents
 from segnetr.training import toy_config
+from segnetr.verify import GENERAL_TOL
 
 from .conftest import graph_nodes, graph_saved_bytes, perturb_state
 
@@ -33,7 +34,9 @@ class TestModelConfig:
         assert ModelConfig().base_channels == 64
         assert ModelConfig(variant="segnetr-s").base_channels == 32
         assert ModelConfig().channels == (64, 128, 256, 512)
-        assert ModelConfig().stage_resolutions() == (112, 56, 28, 14)
+        # the four stages, then the bottleneck after the last merge
+        assert stage_extents(224, 224, ModelConfig().patch_schedule) == (
+            (112, 112), (56, 56), (28, 28), (14, 14), (7, 7))
 
     def test_json_round_trip(self):
         cfg = small_cfg(interaction_mode="series", skip_mode="concat")
@@ -115,8 +118,9 @@ class TestSegnetrModel:
 
     def test_wrong_input_shape_rejected(self):
         model = SegnetrModel(small_cfg()).eval()
-        with pytest.raises(ShapeError):
-            model(Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32)))
+        for hw in [(24, 24), (31, 47)]:
+            with pytest.raises(ShapeError):
+                model(Tensor(np.zeros((1, 3) + hw, dtype=np.float32)))
         with pytest.raises(ShapeError):
             model(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
 
@@ -197,6 +201,45 @@ class TestSegnetrModel:
         # padded merges and the odd-grid displacement wrap.
         model = SegnetrModel(small_cfg(resolution=112))
         assert model(rand_input(res=112, seed=7)).shape == (2, 2, 112, 112)
+
+
+class TestInputExtents:
+    """The forward takes any (H, W) its patch schedule tiles, whatever
+    ``cfg.resolution`` says; ``stage_extents`` is the one rule."""
+
+    @pytest.mark.parametrize("hw", [(448, 224), (224, 448), (240, 176), (16, 16), (112, 112)])
+    def test_output_extents_equal_input_extents(self, hw):
+        x = Tensor(np.random.default_rng(3).standard_normal((1, 3) + hw).astype(np.float32))
+        for over in (dict(), dict(variant="mini-unet", skip_mode="concat")):
+            model = build(small_cfg(**over)).eval()
+            with no_grad():
+                assert model(x).shape == (1, 2) + hw, over
+
+    def test_per_axis_stage_extents(self):
+        # 240x176 ends in an odd 15x11 stage, which the padded merge handles
+        assert stage_extents(240, 176, (8, 4, 2, 1)) == (
+            (120, 88), (60, 44), (30, 22), (15, 11), (8, 6))
+
+    @pytest.mark.parametrize("hw,message", [
+        ((31, 47), "stem: input extents 31x47 must be even"),
+        ((24, 24), "stage 0: patch size 8 does not divide its extents 12x12"),
+        ((100, 100), "stage 0: patch size 8 does not divide its extents 50x50"),
+    ])
+    def test_untiled_extents_raise_naming_the_stage(self, hw, message):
+        model = build(small_cfg()).eval()
+        with pytest.raises(ShapeError, match=f"^{message}"):
+            model(Tensor(np.zeros((1, 3) + hw, dtype=np.float32)))
+
+    def test_non_square_model_gradients(self):
+        # float64, train mode, C=4 at 32x48: the stem norm's scale and every
+        # fusion weight against central differences
+        model = perturb_state(build(small_cfg(), dtype=np.float64), 5).train()
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 32, 48)), dtype=np.float64)
+        params = [model.stem_norm.gamma] + [
+            p for n, p in model.named_parameters() if n.endswith(("alpha_local", "alpha_global"))]
+        assert sum(p.size for p in params) == 20
+        result = grad_check(lambda *_: model(x), params)
+        assert result.max_rel_error < GENERAL_TOL, result.per_input
 
 
 def test_named_state_names_and_order_are_fixed():

@@ -1,6 +1,7 @@
 """Training loop, evaluation, and checkpoint persistence tests."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,6 @@ class TestTrainLoop:
         assert (cfg.resolution, cfg.base_channels, cfg.num_classes) == (112, 16, 2)
         run = TrainRun(cfg)
         assert run.steps == 500 and run.lr == 1e-4 and run.batch_size == 4
-        assert run.seed == cfg.seed
 
     def test_histories_are_deterministic(self):
         a, b = small_run(seed=5), small_run(seed=5)
@@ -106,6 +106,14 @@ class TestTrainLoop:
         assert run.checkpoint_path == str(tmp_path / "model.ckpt")
         assert (tmp_path / "model.ckpt").exists()
 
+    def test_unusable_out_dir_fails_before_the_first_step(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        run = small_run(out_dir=str(taken))
+        with pytest.raises(FileExistsError):
+            train(run)
+        assert run.loss_history == []
+
 
 class TestEvaluate:
     def test_evaluate_twice_is_identical_and_pure(self):
@@ -124,7 +132,7 @@ class TestEvaluate:
         for seed in range(5):
             run = small_run(seed=seed, steps=30, eval_interval=30, train_size=8, eval_size=8, lr=1e-3)
             model = train(run)
-            train_seed = int(np.random.SeedSequence(run.seed).spawn(3)[0].generate_state(1)[0])
+            train_seed = int(np.random.SeedSequence(run.cfg.seed).spawn(3)[0].generate_state(1)[0])
             train_ds = gen_synthetic(8, 32, 2, train_seed)
             fresh_ds = gen_synthetic(8, 32, 2, seed + 9000)
             train_scores.append(evaluate(model, train_ds).mean_dice)
@@ -179,6 +187,18 @@ class TestCheckpoints:
         assert np.abs(want).max() > 0
         fresh = load_checkpoint(path, build(small_cfg(seed=99))).eval()
         np.testing.assert_array_equal(fresh(x).data, want)
+
+    def test_loads_and_runs_at_another_resolution(self, tmp_path):
+        # the checkpoint holds no extent: a model saved from a 112 config
+        # loads into a 224 build, and both give the same 224x224 logits
+        model = perturb_state(build(toy_config(seed=4)), 13).eval()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        big = load_checkpoint(path, build(replace(toy_config(seed=99), resolution=224))).eval()
+        x = Tensor(np.random.default_rng(5).standard_normal((1, 3, 224, 224)).astype(np.float32))
+        want = model(x).data
+        assert want.shape == (1, 2, 224, 224) and np.abs(want).max() > 0
+        assert big(x).data.tobytes() == want.tobytes()
 
     def test_eval_forward_follows_loaded_checkpoint(self, tmp_path):
         # the eval fold is rebuilt on every call: a model that already ran
