@@ -3,12 +3,25 @@
 Runs in 64-bit: callers build their inputs as float64 tensors and the checked
 function must route through the autodiff ops.  Non-scalar outputs are reduced
 with a fixed random projection so one backward pass covers every output.
+
+The per-coordinate differences are independent, and each costs two forwards
+of per-op Python dispatch that hold the GIL, so a large check shares them
+among forked worker processes, one per usable core (threads would not run
+them in parallel).
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import itertools
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,17 +38,35 @@ class GradCheckResult:
 
 
 STEP = 1e-4
+# Checks with fewer coordinates run in process: a fork round trip costs about
+# 2.5 ms, the price of a few coordinates of a SegnetrBlock check.
+PARALLEL_MIN_COORDS = 128
 
 
 def _rel_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
+def worker_count() -> int:
+    """Processes that share a check of at least ``PARALLEL_MIN_COORDS``
+    coordinates: one per usable core, or 1 (the in-process loop) without
+    ``os.fork`` or while another Python thread runs, since that thread could
+    hold a Python-level lock across the fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheckResult:
     """Compare analytic gradients of ``fn(*inputs)`` against central
     differences of step ``STEP``, at every coordinate of every input.
 
-    Relative error uses a max(|a|, |b|, 1e-8) denominator.
+    Relative error uses a max(|a|, |b|, 1e-8) denominator.  A check of at
+    least ``PARALLEL_MIN_COORDS`` coordinates shares them among
+    ``worker_count()`` processes; the result is bit-identical to the
+    in-process loop, and an exception ``fn`` raises at a coordinate reaches
+    the caller as the loop would raise it.  Side effects of ``fn`` in a
+    worker (train-mode batch-norm running buffers, say) are discarded.
     """
     probe = fn(*inputs)
     projection = None
@@ -59,25 +90,132 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheck
     backward(loss())
     analytic = [None if t.grad is None else t.grad.copy() for t in inputs]
 
-    per_input: list[float] = []
+    flats = [t.data.reshape(-1) for t in inputs if t.requires_grad]
+    starts = list(itertools.accumulate((flat.size for flat in flats), initial=0))
+
+    def central(j: int) -> float:
+        k = bisect.bisect_right(starts, j) - 1
+        flat, i = flats[k], j - starts[k]
+        saved = flat[i]
+        flat[i] = saved + STEP
+        f_plus = float(loss().data)
+        flat[i] = saved - STEP
+        f_minus = float(loss().data)
+        flat[i] = saved
+        return (f_plus - f_minus) / (2.0 * STEP)
+
     with no_grad():
-        for t, ana in zip(inputs, analytic):
-            if not t.requires_grad:
-                per_input.append(0.0)
-                continue
-            if ana is None:
-                ana = np.zeros_like(t.data)
-            flat = t.data.reshape(-1)
-            worst = 0.0
-            ana_flat = ana.reshape(-1)
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + STEP
-                f_plus = float(loss().data)
-                flat[i] = saved - STEP
-                f_minus = float(loss().data)
-                flat[i] = saved
-                numeric = (f_plus - f_minus) / (2.0 * STEP)
-                worst = max(worst, _rel_error(float(ana_flat[i]), numeric))
-            per_input.append(worst)
+        numeric = _central_differences(central, starts[-1])
+
+    per_input: list[float] = []
+    j = 0
+    for t, ana in zip(inputs, analytic):
+        if not t.requires_grad:
+            per_input.append(0.0)
+            continue
+        if ana is None:
+            ana = np.zeros_like(t.data)
+        worst = 0.0
+        ana_flat = ana.reshape(-1)
+        for i in range(t.size):
+            worst = max(worst, _rel_error(float(ana_flat[i]), float(numeric[j])))
+            j += 1
+        per_input.append(worst)
     return GradCheckResult(max(per_input, default=0.0), per_input)
+
+
+def _central_differences(central: Callable[[int], float], n: int) -> np.ndarray:
+    """``central(j)`` for j < n as a float64 array.  Share s of k processes
+    is every k-th coordinate from s; the caller's process runs share 0."""
+    out = np.empty(n)
+    procs = worker_count() if n >= PARALLEL_MIN_COORDS else 1
+    if procs == 1:
+        for j in range(n):
+            out[j] = central(j)
+        return out
+    workers = []  # (share, pid, read end of its pipe) of each worker not yet reaped
+    try:
+        for s in range(1, procs):
+            workers.append((s, *_fork_share(central, s, n, procs)))
+        failures = [_run_share(central, 0, n, procs, out)]
+        while workers:
+            s, pid, pipe = workers[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            if status:
+                raise ChildProcessError(
+                    f"grad_check worker {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} and no result"
+                )
+            out[s::procs], failure = pickle.loads(payload)
+            failures.append(failure)
+    finally:
+        for _, pid, pipe in workers:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    raised = [f for f in failures if f is not None]
+    if raised:
+        # the loop would have raised at the first failing coordinate
+        raise min(raised, key=lambda f: f[0])[1]
+    return out
+
+
+def _run_share(central, s: int, n: int, procs: int, out: np.ndarray) -> Optional[tuple[int, Exception]]:
+    """Fill share ``s`` of ``out``; stop at the first coordinate whose
+    difference raises and return it with the exception."""
+    for j in range(s, n, procs):
+        try:
+            out[j] = central(j)
+        except Exception as exc:
+            return j, exc
+    return None
+
+
+def _fork_share(central, s: int, n: int, procs: int) -> tuple[int, BinaryIO]:
+    """Fork a worker that computes share ``s`` and writes it, with its
+    failure if any, to a pipe.  Returns its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork in a process with native threads.
+            # The only one here is OpenBLAS's pool, which its own fork handler
+            # shuts down; Python threads never get this far (see worker_count).
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+        if pid == 0:
+            _work_share(central, s, n, procs, read_fd, write_fd)
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _work_share(central, s: int, n: int, procs: int, read_fd: int, write_fd: int) -> None:
+    """The worker's whole life.  It leaves only by ``os._exit``, so it never
+    returns into the caller's code, runs no atexit handler and never flushes
+    the stdio buffers it inherited, which the parent flushes once."""
+    code = 1
+    try:
+        os.close(read_fd)
+        out = np.empty(n)
+        failure = _run_share(central, s, n, procs, out)
+        try:
+            payload = pickle.dumps((out[s::procs], failure))
+        except Exception:  # an exception that does not pickle
+            j, exc = failure
+            payload = pickle.dumps((out[s::procs], (j, ChildProcessError(f"grad_check worker: {exc!r}"))))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)

@@ -262,21 +262,18 @@ class SegnetrBlock(Module):
         return m * reshape(f, (n, 1, h, w))
 
 
-def irsc_fuse(
-    encoder_pm: Tensor,
-    decoder_up: Tensor,
-    pad_before: tuple[int, int] = (0, 0),
-) -> Tensor:
+def irsc_fuse(encoder_pm: Tensor, decoder_up: Tensor) -> Tensor:
     """Information-retention skip: alternate-select half the merged channels,
     patch-reverse them back to encoder resolution, concatenate with the
     upsampled decoder features.  Adds no parameters.
 
-    ``pad_before`` crops the reconstruction when the encoder's patch merge
-    ran on a padded grid (odd stage resolutions).
+    When the encoder's patch merge ran on a grid padded after its last row or
+    column (odd stage extents), the reconstruction is cropped to the
+    decoder's extents.
     """
     x_pr = patch_reverse(alternate_select(encoder_pm))
     th, tw = decoder_up.shape[-3], decoder_up.shape[-2]
-    x_pr = crop_hw(x_pr, pad_before[0], pad_before[1], th, tw)
+    x_pr = crop_hw(x_pr, 0, 0, th, tw)
     if x_pr.shape[-3] != th or x_pr.shape[-2] != tw:
         raise ShapeError(
             f"irsc_fuse: reconstructed skip {x_pr.shape} does not cover decoder {decoder_up.shape}"

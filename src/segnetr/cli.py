@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 from typing import Optional
 
+from .autodiff.gradcheck import worker_count
 from .costs import cost_report
 from .data import gen_synthetic
 from .errors import CheckpointError, ConfigError, TrainingError
@@ -108,7 +109,9 @@ def _cmd_gradcheck(args) -> int:
     # finite differences always run in 64-bit
     t0 = time.perf_counter()
     rc = _print_results(gradient_suite(), "gradcheck")
-    print(f"gradient suite finished in {time.perf_counter() - t0:.1f}s")
+    procs = worker_count()
+    print(f"gradient suite finished in {time.perf_counter() - t0:.1f}s "
+          f"({procs} process{'es' if procs > 1 else ''})")
     return rc
 
 

@@ -264,7 +264,7 @@ def cost_report(model: Module, input_hw: Union[int, tuple[int, int], None] = Non
         input_hw = cfg.resolution
     if isinstance(input_hw, int):
         input_hw = (input_hw, input_hw)
-    extents = stage_extents(*input_hw, cfg.patch_schedule)
+    extents = stage_extents(*input_hw, cfg.stage_tiling)
 
     walk = _Walk()
     chans = cfg.channels

@@ -10,8 +10,10 @@ projection, and the same stage body.  The head is a 1×1 conv to num_classes
 followed by a final ×2 upsample back to the input extents.
 
 H and W are independent.  Odd stage extents (e.g. 7×7 from a 112 input, 15×11
-from 240×176) are handled by padding before patch merge and cropping after
-the matching upsample, recorded per stage so the round trip is exact.
+from 240×176) are handled by padding one row or column after the grid before
+patch merge and cropping it after the matching upsample, so the round trip is
+exact.  Only SegNetr stages need their patch size to tile their extents
+(``ModelConfig.stage_tiling``); mini-unet stages have no windows.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ class ModelConfig:
     def channels(self) -> tuple[int, ...]:
         return tuple(self.base_channels * m for m in STAGE_MULTIPLIERS)
 
+    @property
+    def stage_tiling(self) -> tuple[int, ...]:
+        """The patch size each stage's extents must divide: the patch schedule
+        for SegNetr stages, 1 for mini-unet's windowless double convs."""
+        return (1,) * NUM_STAGES if self.variant == "mini-unet" else self.patch_schedule
+
     def validate(self) -> None:
         """Raise ConfigError naming the first violated constraint."""
         if self.variant not in VARIANTS:
@@ -122,7 +130,7 @@ class ModelConfig:
                 f"patch_schedule must be {NUM_STAGES} positive integers, got {self.patch_schedule!r}"
             )
         try:
-            stage_extents(self.resolution, self.resolution, self.patch_schedule)
+            stage_extents(self.resolution, self.resolution, self.stage_tiling)
         except ShapeError as exc:
             raise ConfigError(f"resolution {self.resolution} does not fit the patch schedule: {exc}") from exc
         if not _is_int(self.seed) or self.seed < 0:
@@ -197,23 +205,23 @@ class UNet(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"expected input (N, 3, H, W), got {x.shape}")
-        stage_extents(x.shape[2], x.shape[3], self.cfg.patch_schedule)
+        stage_extents(x.shape[2], x.shape[3], self.cfg.stage_tiling)
         y = conv_norm(x, self.stem, self.stem_norm, silu=True)
         skips = []
         for s in range(NUM_STAGES):
             y = self.run_stage(self.encoder_stages[s], y)
-            padded, before, hw = pad_to_multiple(nchw_to_hwc(y), 2)
+            # at multiple 2 any pad comes after the grid, so crops start at 0
+            padded, _, hw = pad_to_multiple(nchw_to_hwc(y), 2)
             merged = patch_merge(padded)
-            skips.append((y if self.cfg.skip_mode == "concat" else merged, before, hw))
+            skips.append((y if self.cfg.skip_mode == "concat" else merged, hw))
             y = self.merge_projections[s](hwc_to_nchw(merged))
         for i in range(NUM_STAGES):
             y = F.bilinear_upsample2x(y)
-            payload, before, (h, w) = skips.pop()
+            payload, (h, w) = skips.pop()
             if y.shape[-2:] != (h, w):
-                top, left = before
-                y = slice_(y, (Ellipsis, slice(top, top + h), slice(left, left + w)))
+                y = slice_(y, (Ellipsis, slice(0, h), slice(0, w)))
             if self.cfg.skip_mode == "irsc":
-                y = hwc_to_nchw(irsc_fuse(payload, nchw_to_hwc(y), before))
+                y = hwc_to_nchw(irsc_fuse(payload, nchw_to_hwc(y)))
             else:
                 y = concat([y, payload], axis=1)
             y = self.fuse_projections[i](y)

@@ -7,6 +7,7 @@ config so the whole file stays fast.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +200,14 @@ class TestSuiteCommands:
         captured = capsys.readouterr()
         assert "gradcheck softmax: FAIL  max 0.2" in captured.out
         assert "1 gradcheck check(s) failed" in captured.err
+
+    @pytest.mark.parametrize("procs, noun", [(2, "2 processes"), (1, "1 process")])
+    def test_gradcheck_reports_its_processes(self, monkeypatch, capsys, procs, noun):
+        monkeypatch.setattr("segnetr.cli.gradient_suite", lambda: [CheckResult("linear", True)])
+        monkeypatch.setattr("segnetr.cli.worker_count", lambda: procs)
+        assert main(["gradcheck"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(rf"gradient suite finished in \d+\.\ds \({noun}\)", last), last
 
     def test_gradcheck_has_no_precision_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,12 @@
 """Backward-pass semantics, Adam behavior, and finite-difference checks."""
 
+import os
+import subprocess
 import sys
 import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,9 @@ from segnetr.autodiff import (
     sum_,
     transpose,
 )
+import segnetr.verify
 from segnetr.autodiff import batch_norm, batch_norm_silu, bilinear_upsample2x, global_avg_pool, log_softmax
+from segnetr.autodiff import gradcheck
 from segnetr.autodiff.tensor import (
     _make_output,
     exp,
@@ -399,3 +405,151 @@ def test_every_op_passes_finite_differences(seed):
     for name, tol, fn, inputs in _op_inventory(rng):
         res = grad_check(fn, inputs)
         assert res.max_rel_error < tol, f"{name}: {res.max_rel_error:.3e} >= {tol:g}"
+
+
+def _suite_check_results(monkeypatch, seed):
+    """The GradCheckResult of every gradient_suite case, in order."""
+    seen = []
+
+    def recording(fn, inputs):
+        seen.append(gradcheck.grad_check(fn, inputs))
+        return seen[-1]
+
+    monkeypatch.setattr(segnetr.verify, "grad_check", recording)
+    segnetr.verify.gradient_suite(seed)
+    return seen
+
+
+def _square_sum(x):
+    return sum_(x * x)
+
+
+class TestWorkerSplit:
+    """A check of at least PARALLEL_MIN_COORDS coordinates shares them among
+    forked workers; its result and its errors are the in-process loop's."""
+
+    @pytest.fixture()
+    def two_cores(self, monkeypatch):
+        # two usable cores whatever the host has, so the split always runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        calls = []
+        real = os.fork
+
+        def counting_fork():
+            calls.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_suite_results_equal_the_in_process_loop(self, seed, monkeypatch, two_cores, forks):
+        split = _suite_check_results(monkeypatch, seed)
+        assert forks
+        monkeypatch.setattr(gradcheck, "PARALLEL_MIN_COORDS", 10**9)
+        n_forks = len(forks)
+        serial = _suite_check_results(monkeypatch, seed)
+        assert len(forks) == n_forks
+        assert split == serial
+        self.assert_no_child_left()
+
+    def test_exception_raised_only_in_a_worker_reaches_the_caller(self, two_cores, forks):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                raise ValueError("raised in a worker")
+            return _square_sum(x)
+
+        with pytest.raises(ValueError, match="^raised in a worker$"):
+            grad_check(fn, [t64(np.ones(256))])
+        assert forks
+        self.assert_no_child_left()
+
+    def test_first_failing_coordinate_raises_as_in_the_loop(self, monkeypatch, two_cores):
+        # coordinate 5 is in the worker's share, 130 in the parent's; the
+        # loop meets 5 first
+        def fn(x):
+            moved = np.flatnonzero(x.data)
+            if moved.size and moved[0] in (5, 130):
+                raise ValueError(f"coordinate {moved[0]}")
+            return _square_sum(x)
+
+        with pytest.raises(ValueError, match="^coordinate 5$"):
+            grad_check(fn, [t64(np.zeros(256))])
+        self.assert_no_child_left()
+        monkeypatch.setattr(gradcheck, "PARALLEL_MIN_COORDS", 10**9)
+        with pytest.raises(ValueError, match="^coordinate 5$"):
+            grad_check(fn, [t64(np.zeros(256))])
+
+    def test_worker_that_dies_raises_naming_its_exit_status(self, two_cores):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return _square_sum(x)
+
+        with pytest.raises(ChildProcessError, match="exited with status 3 and no result"):
+            grad_check(fn, [t64(np.ones(256))])
+        self.assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_running_worker(self, two_cores):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                time.sleep(0.05)  # 128 coordinates would keep it busy for 12 s
+            elif np.any(x.data):
+                raise KeyboardInterrupt
+            return _square_sum(x)
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            grad_check(fn, [t64(np.zeros(256))])
+        self.assert_no_child_left()
+        assert time.perf_counter() - started < 5
+
+    def test_unflushed_output_is_written_once(self):
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from segnetr.autodiff import Tensor, grad_check, sum_\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, real_fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "sys.stdout.write('marker\\n')\n"
+            "x = Tensor(np.ones(256), requires_grad=True, dtype=np.float64)\n"
+            "grad_check(lambda x: sum_(x * x), [x])\n"
+            "sys.stdout.write(f'forks {len(forks)}\\n')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)  # the marker must stay in the buffer
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "marker\nforks 1\n"
+
+    def test_no_fork_while_another_thread_runs(self, two_cores, forks):
+        x = t64(np.random.default_rng(5).standard_normal(256))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = grad_check(_square_sum, [x])
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert not forks
+        assert grad_check(_square_sum, [x]) == threaded
+        assert forks

@@ -9,13 +9,13 @@ import pytest
 
 from segnetr.autodiff import Module, Tensor, cross_entropy, grad_check, no_grad
 from segnetr.blocks import BatchNorm2d, SegnetrBlock
-from segnetr.costs import count_params
+from segnetr.costs import cost_report, count_params
 from segnetr.errors import ConfigError, ShapeError
 from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build, stage_extents
 from segnetr.training import toy_config
 from segnetr.verify import GENERAL_TOL
 
-from .conftest import graph_nodes, graph_saved_bytes, perturb_state
+from .conftest import forward_macs, graph_nodes, graph_saved_bytes, perturb_state
 
 SMALL = dict(base_channels=4, resolution=32, num_classes=2, seed=3)
 
@@ -229,6 +229,21 @@ class TestInputExtents:
         model = build(small_cfg()).eval()
         with pytest.raises(ShapeError, match=f"^{message}"):
             model(Tensor(np.zeros((1, 3) + hw, dtype=np.float32)))
+
+    @pytest.mark.parametrize("skip_mode", ["irsc", "concat"])
+    def test_mini_unet_is_not_held_to_the_patch_schedule(self, skip_mode):
+        # its double-conv stages have no windows: 24 -> stages 12, 6, 3, 2
+        # and 100 -> 50, 25, 13, 7 run through the padded merges
+        model = build(small_cfg(variant="mini-unet", skip_mode=skip_mode, resolution=24)).eval()
+        for hw in [(24, 24), (100, 100)]:
+            x = Tensor(np.random.default_rng(3).standard_normal((1, 3) + hw).astype(np.float32))
+            with no_grad():
+                assert model(x).shape == (1, 2) + hw
+            counted = forward_macs(model, *hw)
+            assert sum(counted.values()) == cost_report(model, hw).total_macs, hw
+        for res in (24, 100):
+            with pytest.raises(ConfigError, match="^resolution .* stage 0: patch size 8"):
+                build(small_cfg(resolution=res))
 
     def test_non_square_model_gradients(self):
         # float64, train mode, C=4 at 32x48: the stem norm's scale and every
