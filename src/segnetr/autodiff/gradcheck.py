@@ -7,7 +7,7 @@ with a fixed random projection so one backward pass covers every output.
 The per-coordinate differences are independent, and each costs two forwards
 of per-op Python dispatch that hold the GIL, so a large check shares them
 among forked worker processes, one per usable core (threads would not run
-them in parallel).
+them in parallel), which take them in chunks from one queue.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
+import mmap
 import os
 import pickle
 import signal
@@ -41,6 +42,10 @@ STEP = 1e-4
 # Checks with fewer coordinates run in process: a fork round trip costs about
 # 2.5 ms, the price of a few coordinates of a SegnetrBlock check.
 PARALLEL_MIN_COORDS = 128
+# A split check goes out in at most this many chunks: their 4-byte records
+# fill one pipe page, and a SegnetrBlock check's chunk of 3 coordinates takes
+# about 3 ms, so the processes finish within a few ms of each other.
+MAX_CHUNKS = 1024
 
 
 def _rel_error(a: float, b: float) -> float:
@@ -66,7 +71,8 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheck
     ``worker_count()`` processes; the result is bit-identical to the
     in-process loop, and an exception ``fn`` raises at a coordinate reaches
     the caller as the loop would raise it.  Side effects of ``fn`` in a
-    worker (train-mode batch-norm running buffers, say) are discarded.
+    worker (train-mode batch-norm running buffers, say) are discarded, and
+    which coordinates the caller's process runs varies from call to call.
     """
     probe = fn(*inputs)
     projection = None
@@ -125,21 +131,31 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheck
 
 
 def _central_differences(central: Callable[[int], float], n: int) -> np.ndarray:
-    """``central(j)`` for j < n as a float64 array.  Share s of k processes
-    is every k-th coordinate from s; the caller's process runs share 0."""
-    out = np.empty(n)
+    """``central(j)`` for j < n as a float64 array.
+
+    The caller's process and its forked workers take chunks of coordinates
+    in order from one queue and write the derivatives into one shared
+    array, so a process the machine slows down takes fewer chunks instead
+    of holding up the others.  Each process stops at its first failing
+    coordinate; chunks go out in order, so the lowest failing coordinate is
+    always met, as in the loop."""
     procs = worker_count() if n >= PARALLEL_MIN_COORDS else 1
     if procs == 1:
+        out = np.empty(n)
         for j in range(n):
             out[j] = central(j)
         return out
-    workers = []  # (share, pid, read end of its pipe) of each worker not yet reaped
+    chunk = -(-n // MAX_CHUNKS)
+    shared = mmap.mmap(-1, 8 * n)  # anonymous and shared: workers' writes reach the caller
+    values = np.frombuffer(shared, dtype=np.float64)
+    queue = _chunk_queue(n, chunk)
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
-        for s in range(1, procs):
-            workers.append((s, *_fork_share(central, s, n, procs)))
-        failures = [_run_share(central, 0, n, procs, out)]
+        for _ in range(1, procs):
+            workers.append(_fork_worker(central, queue, chunk, n, values))
+        failures = [_run_chunks(central, queue, chunk, n, values)]
         while workers:
-            s, pid, pipe = workers[0]
+            pid, pipe = workers[0]
             with pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -149,15 +165,16 @@ def _central_differences(central: Callable[[int], float], n: int) -> np.ndarray:
                     f"grad_check worker {pid} exited with status "
                     f"{os.waitstatus_to_exitcode(status)} and no result"
                 )
-            out[s::procs], failure = pickle.loads(payload)
-            failures.append(failure)
+            failures.append(pickle.loads(payload))
+        out = values.copy()
     finally:
-        for _, pid, pipe in workers:
+        for pid, pipe in workers:
             pipe.close()
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
+        os.close(queue)
     raised = [f for f in failures if f is not None]
     if raised:
         # the loop would have raised at the first failing coordinate
@@ -165,20 +182,40 @@ def _central_differences(central: Callable[[int], float], n: int) -> np.ndarray:
     return out
 
 
-def _run_share(central, s: int, n: int, procs: int, out: np.ndarray) -> Optional[tuple[int, Exception]]:
-    """Fill share ``s`` of ``out``; stop at the first coordinate whose
-    difference raises and return it with the exception."""
-    for j in range(s, n, procs):
-        try:
-            out[j] = central(j)
-        except Exception as exc:
-            return j, exc
+def _chunk_queue(n: int, chunk: int) -> int:
+    """A pipe holding the first coordinate of every chunk, in order, as
+    4-byte records; returns its read end.  At most ``MAX_CHUNKS`` records
+    fit one pipe page, so the write completes before anyone reads, and every
+    read of 4 bytes takes exactly one record."""
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, np.arange(0, n, chunk, dtype="<u4").tobytes())
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return read_fd
+
+
+def _run_chunks(central, queue: int, chunk: int, n: int, out: np.ndarray) -> Optional[tuple[int, Exception]]:
+    """Fill ``out`` at the chunks taken from ``queue`` until it is empty;
+    stop at the first coordinate whose difference raises and return it with
+    the exception."""
+    while record := os.read(queue, 4):
+        first = int.from_bytes(record, "little")
+        for j in range(first, min(first + chunk, n)):
+            try:
+                out[j] = central(j)
+            except Exception as exc:
+                return j, exc
     return None
 
 
-def _fork_share(central, s: int, n: int, procs: int) -> tuple[int, BinaryIO]:
-    """Fork a worker that computes share ``s`` and writes it, with its
-    failure if any, to a pipe.  Returns its pid and the pipe's read end."""
+def _fork_worker(central, queue: int, chunk: int, n: int, out: np.ndarray) -> tuple[int, BinaryIO]:
+    """Fork a worker that runs chunks from ``queue`` into the shared ``out``
+    and writes its failure, if any, to a pipe.  Returns its pid and the
+    pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -191,7 +228,7 @@ def _fork_share(central, s: int, n: int, procs: int) -> tuple[int, BinaryIO]:
             )
             pid = os.fork()
         if pid == 0:
-            _work_share(central, s, n, procs, read_fd, write_fd)
+            _work(central, queue, chunk, n, out, read_fd, write_fd)
     except BaseException:
         os.close(read_fd)
         os.close(write_fd)
@@ -200,20 +237,19 @@ def _fork_share(central, s: int, n: int, procs: int) -> tuple[int, BinaryIO]:
     return pid, open(read_fd, "rb")
 
 
-def _work_share(central, s: int, n: int, procs: int, read_fd: int, write_fd: int) -> None:
+def _work(central, queue: int, chunk: int, n: int, out: np.ndarray, read_fd: int, write_fd: int) -> None:
     """The worker's whole life.  It leaves only by ``os._exit``, so it never
     returns into the caller's code, runs no atexit handler and never flushes
     the stdio buffers it inherited, which the parent flushes once."""
     code = 1
     try:
         os.close(read_fd)
-        out = np.empty(n)
-        failure = _run_share(central, s, n, procs, out)
+        failure = _run_chunks(central, queue, chunk, n, out)
         try:
-            payload = pickle.dumps((out[s::procs], failure))
+            payload = pickle.dumps(failure)
         except Exception:  # an exception that does not pickle
             j, exc = failure
-            payload = pickle.dumps((out[s::procs], (j, ChildProcessError(f"grad_check worker: {exc!r}"))))
+            payload = pickle.dumps((j, ChildProcessError(f"grad_check worker: {exc!r}")))
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
         code = 0

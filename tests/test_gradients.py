@@ -1,6 +1,7 @@
 """Backward-pass semantics, Adam behavior, and finite-difference checks."""
 
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -426,7 +427,8 @@ def _square_sum(x):
 
 class TestWorkerSplit:
     """A check of at least PARALLEL_MIN_COORDS coordinates shares them among
-    forked workers; its result and its errors are the in-process loop's."""
+    forked workers, which take chunks from one queue; its result and its
+    errors are the in-process loop's."""
 
     @pytest.fixture()
     def two_cores(self, monkeypatch):
@@ -445,6 +447,20 @@ class TestWorkerSplit:
         monkeypatch.setattr(os, "fork", counting_fork)
         return calls
 
+    @pytest.fixture()
+    def worker_began(self):
+        """(began, wait): a worker calls began() when it evaluates fn, and
+        the parent's wait() returns once one has, so a parent that waits
+        cannot take every chunk itself."""
+        read_fd, write_fd = os.pipe()
+
+        def wait():
+            assert select.select([read_fd], [], [], 60)[0], "no worker evaluated fn"
+
+        yield lambda: os.write(write_fd, b"."), wait
+        os.close(read_fd)
+        os.close(write_fd)
+
     @staticmethod
     def assert_no_child_left():
         with pytest.raises(ChildProcessError):
@@ -461,12 +477,16 @@ class TestWorkerSplit:
         assert split == serial
         self.assert_no_child_left()
 
-    def test_exception_raised_only_in_a_worker_reaches_the_caller(self, two_cores, forks):
+    def test_exception_raised_only_in_a_worker_reaches_the_caller(self, two_cores, forks, worker_began):
         parent = os.getpid()
+        began, wait = worker_began
 
         def fn(x):
             if os.getpid() != parent:
+                began()
                 raise ValueError("raised in a worker")
+            if np.any(x.data != 1):
+                wait()
             return _square_sum(x)
 
         with pytest.raises(ValueError, match="^raised in a worker$"):
@@ -475,8 +495,7 @@ class TestWorkerSplit:
         self.assert_no_child_left()
 
     def test_first_failing_coordinate_raises_as_in_the_loop(self, monkeypatch, two_cores):
-        # coordinate 5 is in the worker's share, 130 in the parent's; the
-        # loop meets 5 first
+        # either process may take either coordinate; the loop meets 5 first
         def fn(x):
             moved = np.flatnonzero(x.data)
             if moved.size and moved[0] in (5, 130):
@@ -490,17 +509,41 @@ class TestWorkerSplit:
         with pytest.raises(ValueError, match="^coordinate 5$"):
             grad_check(fn, [t64(np.zeros(256))])
 
-    def test_worker_that_dies_raises_naming_its_exit_status(self, two_cores):
+    def test_worker_that_dies_raises_naming_its_exit_status(self, two_cores, worker_began):
         parent = os.getpid()
+        began, wait = worker_began
 
         def fn(x):
             if os.getpid() != parent:
+                began()
                 os._exit(3)
+            if np.any(x.data != 1):
+                wait()
             return _square_sum(x)
 
         with pytest.raises(ChildProcessError, match="exited with status 3 and no result"):
             grad_check(fn, [t64(np.ones(256))])
         self.assert_no_child_left()
+
+    def test_slow_worker_does_not_hold_up_the_check(self, monkeypatch, two_cores, forks):
+        # a fixed half of 256 coordinates would keep this worker busy for 5 s;
+        # taking chunks from the queue, it does one or two while the parent
+        # does the rest
+        parent = os.getpid()
+        x = t64(np.random.default_rng(6).standard_normal(256))
+
+        def fn(xx):
+            if os.getpid() != parent:
+                time.sleep(0.02)
+            return _square_sum(xx)
+
+        started = time.perf_counter()
+        split = grad_check(fn, [x])
+        assert time.perf_counter() - started < 2
+        assert forks
+        self.assert_no_child_left()
+        monkeypatch.setattr(gradcheck, "PARALLEL_MIN_COORDS", 10**9)
+        assert grad_check(fn, [x]) == split
 
     def test_interrupt_kills_and_reaps_the_running_worker(self, two_cores):
         parent = os.getpid()
