@@ -105,7 +105,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``gW = g2ᵀ @ x2`` and ``gb = Σ g2`` over the rows."""
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight in-width {weight.shape[1]}")
-    x2 = x.data.reshape(-1, x.shape[-1])
+    xshape, x2 = x.data.shape, x.data.reshape(-1, x.shape[-1])
     y = x2 @ weight.data.T
     if bias is not None:
         y += bias.data
@@ -113,7 +113,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(x2.shape[0], -1)
-        gx, gw = (g2 @ weight.data).reshape(x.data.shape), g2.T @ x2
+        gx, gw = (g2 @ weight.data).reshape(xshape), g2.T @ x2
         return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
 
     return _make_output(y.reshape(x.shape[:-1] + y.shape[1:]), inputs, bw)
@@ -141,6 +141,9 @@ def conv2d(
     :func:`_depthwise`.  Every other case is a loop over the kH·kW kernel
     taps; each tap is a strided view contraction, so the cost is the
     standard MAC count without an im2col buffer.
+
+    If the op that made ``x`` offers a recipe for its planes (``mul``,
+    ``batch_norm_silu``), the rule keeps that instead of ``x``'s array.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
@@ -155,10 +158,11 @@ def conv2d(
     oh = _conv_out_extent(h, kh, stride, padding)
     ow = _conv_out_extent(w, kw, stride, padding)
 
+    recipe = x._node[3] if x._node else None
     if groups == cin == out_c:
-        y, conv_bw = _depthwise(x.data, weight.data, stride, padding, oh, ow)
+        y, conv_bw = _depthwise(x.data, weight.data, stride, padding, oh, ow, recipe)
     else:
-        y, conv_bw = _tap_loop(x.data, weight.data, stride, padding, groups, oh, ow)
+        y, conv_bw = _tap_loop(x.data, weight.data, stride, padding, groups, oh, ow, recipe)
     if bias is not None:
         y += bias.data[None, :, None, None]
 
@@ -173,26 +177,28 @@ def conv2d(
     return _make_output(y, inputs, bw)
 
 
-def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
+def _tap_loop(xd, wd, stride, padding, groups, oh, ow, recipe):
     """Dense and grouped convolution: one batched matmul per kernel tap and
     group.  The first tap's product is written as the output and later taps
     add into it, so a 1×1 convolution is one matmul.  Returns the output and
-    its backward rule for ``(gx, gw)``, which pads the input again."""
+    its backward rule for ``(gx, gw)``, which pads the input again, rebuilt
+    whole by ``recipe`` if there is one."""
     n, cin, h, w = xd.shape
+    dt = xd.dtype
     out_c, cpg, kh, kw = wd.shape
     opg = out_c // groups
     # (output channels, input channels) of each group
     blocks = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg)) for i in range(groups)]
 
-    def tap_views():
-        src = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
+    def tap_views(x):
+        src = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
         for di in range(kh):
             for dj in range(kw):
                 yield di, dj, src[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
 
     area = oh * ow
-    y = np.empty((n, out_c, area), dtype=xd.dtype)
-    for di, dj, view in tap_views():
+    y = np.empty((n, out_c, area), dtype=dt)
+    for di, dj, view in tap_views(xd):
         for o, c in blocks:
             # (opg, cpg) @ (n, cpg, area): BLAS-backed batched matmul
             wt, vt = wd[o, :, di, dj], view[:, c].reshape(n, cpg, area)
@@ -201,22 +207,27 @@ def _tap_loop(xd, wd, stride, padding, groups, oh, ow):
             else:
                 y[:, o] += np.matmul(wt, vt)
 
+    saved = (lambda: xd) if recipe is None else (lambda: recipe(slice(None)).reshape(n, cin, h, w))
+
     def bw(g):
         gflat = g.reshape(n, out_c, area)
         gw = np.empty_like(wd)
-        gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
-        for di, dj, view in tap_views():
-            gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
+        for di, dj, view in tap_views(saved()):
             for o, c in blocks:
-                go = gflat[:, o]
-                vt = view[:, c].reshape(n, cpg, area)
+                go, vt = gflat[:, o], view[:, c].reshape(n, cpg, area)
                 if area == 1:
                     # a 1×1 map (squeeze-excitation): one GEMM with the batch as K
                     np.matmul(go[:, :, 0].T, vt[:, :, 0], out=gw[o, :, di, dj])
                 else:
                     # per-image products summed over the batch: no operand copies
                     np.matmul(go, vt.transpose(0, 2, 1)).sum(axis=0, out=gw[o, :, di, dj])
-                gview[:, c] += np.matmul(wd[o, :, di, dj].T, go).reshape(n, cpg, oh, ow)
+        del view, vt  # the (padded, perhaps rebuilt) input dies before gx's buffers exist
+        gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=dt)
+        for di in range(kh):
+            for dj in range(kw):
+                gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
+                for o, c in blocks:
+                    gview[:, c] += np.matmul(wd[o, :, di, dj].T, gflat[:, o]).reshape(n, cpg, oh, ow)
         gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
         return gx, gw
 
@@ -233,7 +244,7 @@ def _row_blocks(rows, row_bytes):
     return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
-def _depthwise(xd, wd, stride, padding, oh, ow):
+def _depthwise(xd, wd, stride, padding, oh, ow, recipe):
     """Depthwise convolution on flat zero-padded rows.
 
     Each (n, c) plane becomes one row holding the padded image (height H',
@@ -243,7 +254,8 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
     :func:`_tap_pass`).  The kW − 1 wrapped columns of each output row are
     cropped and, for stride > 1, the stride-1 result is subsampled.
 
-    Rows are padded a block at a time.  The backward is a gather in the same
+    Rows are padded a block at a time; in the backward, ``recipe``, if
+    there is one, rebuilds each block.  The backward is a gather in the same
     layout: one zero-filled row per plane, ``ext``, holds the output gradient
     at its stride-1 positions with ``top = (kH−1)·W' + (kW−1)`` zeros before
     and after, the zero-dilated gradient, so one form serves every stride.
@@ -252,39 +264,43 @@ def _depthwise(xd, wd, stride, padding, oh, ow):
     run over the H interior rows and cropped to W.
     """
     n, c, h, w = xd.shape
+    dt = xd.dtype
     kh, kw = wd.shape[2:]
     hp, wp = h + 2 * padding, w + 2 * padding
     rows, full_h = n * c, hp - kh + 1
     length = full_h * wp
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    planes = xd.reshape(rows, h, w)
 
-    def padded_rows(b):
-        flat = np.zeros((b.stop - b.start, hp * wp + kw - 1), dtype=xd.dtype)
-        flat[:, : hp * wp].reshape(-1, hp, wp)[:, padding : padding + h, padding : padding + w] = planes[b]
+    def padded_rows(rows_of, b):
+        flat = np.zeros((b.stop - b.start, hp * wp + kw - 1), dtype=dt)
+        grid = flat[:, : hp * wp].reshape(-1, hp, wp)
+        grid[:, padding : padding + h, padding : padding + w] = rows_of(b)
         return flat
 
     # taps[t, r] is the weight of tap t for row r = (image, channel)
     taps = np.ascontiguousarray(np.tile(wd.reshape(c, kh * kw), (n, 1)).T)[:, :, None]
     # output (row, i, j) sits at stride-1 position (stride·i, stride·j)
     keep = (slice(None), slice(None, None, stride), slice(None, (ow - 1) * stride + 1, stride))
-    y = _tap_pass(padded_rows, taps, offsets, length, wp, keep, np.empty((rows, oh, ow), dtype=xd.dtype))
+    planes = xd.reshape(rows, h, w)
+    saved_rows = recipe or planes.__getitem__
+    y = _tap_pass(functools.partial(padded_rows, planes.__getitem__), taps, offsets, length, wp, keep,
+                  np.empty((rows, oh, ow), dtype=dt))
 
     def bw(g):
         top = offsets[-1]
-        ext = np.zeros((rows, length + 2 * top), dtype=xd.dtype)
+        ext = np.zeros((rows, length + 2 * top), dtype=dt)
         gfull = ext[:, top : top + length]
         gfull.reshape(rows, full_h, wp)[keep] = g.reshape(rows, oh, ow)
-        gtaps = np.empty((kh * kw, rows), dtype=xd.dtype)
-        for b in _row_blocks(rows, length * xd.itemsize):
-            flat = padded_rows(b)
+        gtaps = np.empty((kh * kw, rows), dtype=dt)
+        for b in _row_blocks(rows, length * dt.itemsize):
+            flat = padded_rows(saved_rows, b)
             for t, off in enumerate(offsets):
                 gtaps[t, b] = np.einsum("ij,ij->i", gfull[b], flat[:, off : off + length])
         gw = gtaps.reshape(kh * kw, n, c).sum(axis=1).T.reshape(c, 1, kh, kw)
         gx = _tap_pass(
             ext.__getitem__, taps, [padding * wp + top - off for off in offsets], h * wp, wp,
             (slice(None), slice(None), slice(padding, padding + w)),
-            np.empty((rows, h, w), dtype=xd.dtype),
+            np.empty((rows, h, w), dtype=dt),
         )
         return gx.reshape(n, c, h, w), gw
 
@@ -375,7 +391,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gh -= np.add.reduce(gh, axis=1, keepdims=True) / n
         gh -= xh2 * proj
         gh /= std.reshape(-1, 1)
-        return gh.reshape(x.data.shape), dgamma, dbeta
+        return gh.reshape(xhat.shape), dgamma, dbeta
 
     return _make_output(y, (x, gamma, beta), bw)
 
@@ -408,7 +424,9 @@ def batch_norm_silu(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.nda
     """``silu(batch_norm(x, …, training=True))`` as one node, with the same
     operations and bits.  SiLU runs in place on the norm's output, the
     forward's only full-size array; the node keeps only ``x``, and its rule
-    rebuilds ``v = x̂·γ + β`` for SiLU's gradient (Rota Bulò et al., 2018)."""
+    rebuilds ``v = x̂·γ + β`` for SiLU's gradient (Rota Bulò et al., 2018).
+    The output offers a recipe that rebuilds its planes from ``x``, so a
+    ``conv2d`` reading it keeps no copy of it (Chen et al., 2016)."""
     return _batch_norm(x, gamma, beta, running_mean, running_var, True, momentum, eps, then_silu=True)
 
 
@@ -419,7 +437,7 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batch_norm: gamma/beta must be (C,)")
     axes = (0, 2, 3)
-    dt = x.data.dtype
+    xd, dt = x.data, x.data.dtype
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     beta4 = beta.data.reshape(1, c, 1, 1)
     if not training:
@@ -430,7 +448,7 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
         y += beta4 - mu * scale
 
         def bw_eval(g):
-            xhat = (x.data - mu) * inv_std
+            xhat = (xd - mu) * inv_std
             return scale * g, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
         return _make_output(y, (x, gamma, beta), bw_eval)
@@ -457,14 +475,14 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
     y += beta4
     if then_silu:
         # y·σ(y) in place, so σ takes one block-sized temporary
-        planes = y.reshape(n * c, -1)
-        for b in _row_blocks(n * c, planes[0].nbytes):
-            np.multiply(planes[b], _sigmoid_stable(planes[b]), out=planes[b])
+        yr = y.reshape(n * c, -1)
+        for b in _row_blocks(n * c, yr[0].nbytes):
+            np.multiply(yr[b], _sigmoid_stable(yr[b]), out=yr[b])
 
     def bw(g):
         # dx = g·k − k·dβ/m − x̂·(k·dγ/m) with k = γ/√(var+ε): two full-size
         # arrays, the recomputed x̂ and the result (in SiLU's gradient, if fused)
-        xhat = x.data - mu
+        xhat = xd - mu
         xhat *= inv_std
         if then_silu:
             # SiLU's gradient at v = x̂·γ + β, rebuilt a block of rows at a time
@@ -484,7 +502,17 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
         dx -= xhat
         return dx, dgamma, dbeta
 
-    return _make_output(y, (x, gamma, beta), bw)
+    def planes(r):
+        # planes r of the N·C planes of y, rebuilt in the forward's op order
+        # from what the rule keeps: a conv2d reading y keeps this instead
+        ch = np.arange(n * c)[r] % c
+        v = np.subtract(xd.reshape(-1, *xd.shape[2:])[r], mu[0, ch])
+        v *= inv_std[0, ch]
+        v *= gamma4[0, ch]
+        v += beta4[0, ch]
+        return np.multiply(v, _sigmoid_stable(v), out=v)
+
+    return _make_output(y, (x, gamma, beta), bw, planes if then_silu else None)
 
 
 # -- softmax / loss ----------------------------------------------------------

@@ -103,11 +103,13 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheck
         k = bisect.bisect_right(starts, j) - 1
         flat, i = flats[k], j - starts[k]
         saved = flat[i]
-        flat[i] = saved + STEP
-        f_plus = float(loss().data)
-        flat[i] = saved - STEP
-        f_minus = float(loss().data)
-        flat[i] = saved
+        try:
+            flat[i] = saved + STEP
+            f_plus = float(loss().data)
+            flat[i] = saved - STEP
+            f_minus = float(loss().data)
+        finally:
+            flat[i] = saved  # also when fn raises, so the caller's input is left as it was
         return (f_plus - f_minus) / (2.0 * STEP)
 
     with no_grad():

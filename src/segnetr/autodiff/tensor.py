@@ -1,14 +1,16 @@
 """Dense tensors with graph-owned reverse-mode differentiation.
 
 A ``Tensor`` wraps a numpy array.  Every differentiable op on a tracked
-input records ``(seq, inputs, rule)`` on its output, ``seq`` counting ops in
-execution order, and ``backward`` runs the rules reachable from the loss in
-descending ``seq``.  Scalars are float32 by default; the gradient checker
-builds float64 graphs through the same code path.
+input records ``[seq, parents, rule, recipe]`` on its output, ``seq``
+counting ops in execution order; ``backward`` runs the rules reachable from
+the loss in descending ``seq``.  ``parents`` are the inputs' records, or
+tracked leaves, so an output no rule keeps dies when the caller drops it; a
+``recipe`` rebuilds the output for ``conv2d`` (see ``mul``).  Scalars are
+float32 by default; the gradient checker builds float64 graphs the same way.
 
-A graph lives only as long as its outputs, and ``backward`` frees each op's
-saved arrays once its rule has run.  ``no_grad()`` stops recording in the
-calling thread only.
+A graph lives only as long as its outputs, and ``backward`` empties each
+record, freeing its saved arrays, once its rule has run.  ``no_grad()``
+stops recording in the calling thread only.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def _constant_like(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
-def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, recipe=None) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -183,7 +185,8 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
             if t._tracked:
                 out._leaf = False
                 out._tracked = True
-                out._node = (next(_SEQ), tuple(inputs), backward_fn)
+                parents = tuple(None if not u._tracked else u if u._leaf else u._node for u in inputs)
+                out._node = [next(_SEQ), parents, backward_fn, recipe]
                 break
     return out
 
@@ -191,12 +194,12 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tracked leaf reachable from ``loss``.
 
-    The ops reachable from ``loss`` run in descending ``seq``, each record
-    cleared as it is handled, so an op's saved arrays are freed as soon as
+    The records reachable from ``loss`` run in descending ``seq``, each
+    emptied as it is handled, so an op's saved arrays are freed as soon as
     its gradient has been taken.  Independent graphs may be pending at once;
-    if a reachable op was consumed by an earlier ``backward`` (the same loss,
-    or one sharing its subgraph), ``ContractError`` is raised before any
-    rule runs.
+    if a reachable record was emptied by an earlier ``backward`` (the same
+    loss, or one sharing its subgraph), ``ContractError`` is raised before
+    any rule runs.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -205,49 +208,48 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
-    pending = _reachable_ops(loss)
-    pending.sort(key=lambda t: t._node[0])
-    flowing = {id(loss): seed}
+    pending = _reachable_records(loss._node)
+    pending.sort(key=lambda rec: rec[0])
+    flowing = {id(loss._node): seed}
     while pending:
-        out = pending.pop()
-        _, inputs, backward_fn = out._node
-        out._node = None
-        g = flowing.pop(id(out), None)
+        rec = pending.pop()
+        _, parents, rule, _ = rec
+        rec.clear()
+        g = flowing.pop(id(rec), None)
         if g is not None:
-            _accumulate(inputs, backward_fn(g), flowing)
+            _accumulate(parents, rule(g), flowing)
 
 
-def _reachable_ops(loss: Tensor) -> list[Tensor]:
-    found, stack, seen = [], [loss], {id(loss)}
+def _reachable_records(root: list) -> list[list]:
+    found, stack, seen = [], [root], {id(root)}
     while stack:
-        t = stack.pop()
-        if t._node is None:
+        rec = stack.pop()
+        if not rec:
             raise ContractError(
                 "backward: part of the loss's graph was consumed by an earlier backward "
                 "(build the loss again to take its gradient)"
             )
-        found.append(t)
-        for i in t._node[1]:
-            if not i._leaf and id(i) not in seen:
-                seen.add(id(i))
-                stack.append(i)
+        found.append(rec)
+        for p in rec[1]:
+            if isinstance(p, list) and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
     return found
 
 
-def _accumulate(inputs: tuple[Tensor, ...], input_grads, flowing: dict[int, np.ndarray]) -> None:
+def _accumulate(parents: tuple, input_grads, flowing: dict[int, np.ndarray]) -> None:
     # a function of its own, so no gradient outlives the record that made it
-    for t, gi in zip(inputs, input_grads):
-        if gi is None or not t._tracked:
+    for p, gi in zip(parents, input_grads):
+        if gi is None or p is None:
             continue
-        if t._leaf:
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.array(gi, dtype=t.data.dtype)
-                else:
-                    t.grad += gi
-        else:
-            acc = flowing.get(id(t))
-            flowing[id(t)] = gi if acc is None else acc + gi
+        if isinstance(p, list):
+            acc = flowing.get(id(p))
+            flowing[id(p)] = gi if acc is None else acc + gi
+        elif p.requires_grad:
+            if p.grad is None:
+                p.grad = np.array(gi, dtype=p.data.dtype)
+            else:
+                p.grad += gi
 
 
 # -- elementwise arithmetic (numpy broadcasting; gradients are unbroadcast) --
@@ -267,22 +269,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     b = _constant_like(b, a)
-    data = a.data + b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make_output(data, (a, b), bw)
+    sa, sb = a.data.shape, b.data.shape
+    return _make_output(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _constant_like(b, a)
-    data = a.data - b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make_output(data, (a, b), bw)
+    sa, sb = a.data.shape, b.data.shape
+    return _make_output(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def _factor_grad(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -297,24 +291,30 @@ def _factor_grad(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...]) -> np
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """``a·b``.  The NCHW product of a full-size ``a`` and a ``b`` of its
+    shape or (N, C, 1, 1) offers a recipe for planes ``r`` of its N·C planes
+    from the operands its rule keeps, which ``conv2d`` keeps instead of it."""
     b = _constant_like(b, a)
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
     def bw(g):
-        return _factor_grad(g, b.data, a.data.shape), _factor_grad(g, a.data, b.data.shape)
+        return _factor_grad(g, bd, ad.shape), _factor_grad(g, ad, bd.shape)
 
-    return _make_output(data, (a, b), bw)
+    def planes(r):
+        return np.multiply(ad.reshape(-1, *ad.shape[2:])[r], bd.reshape(-1, *bd.shape[2:])[r])
+
+    per_plane = data.ndim == 4 and ad.shape == data.shape and bd.shape in (ad.shape, ad.shape[:2] + (1, 1))
+    return _make_output(data, (a, b), bw, planes if per_plane else None)
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _constant_like(b, a)
-    data = a.data / b.data
+    ad, bd = a.data, b.data
+    data = ad / bd
 
     def bw(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
+        return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
 
     return _make_output(data, (a, b), bw)
 
@@ -329,7 +329,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _make_output(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _make_output(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -462,9 +463,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul supports 2-D operands only")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
+    data = ad @ bd
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.T, ad.T @ g
 
     return _make_output(data, (a, b), bw)

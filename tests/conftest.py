@@ -6,6 +6,7 @@ outside pytest's output capture, so the full pass/fail ledger is visible
 in a plain ``pytest -v`` log.
 """
 
+import functools
 import types
 
 import numpy as np
@@ -50,66 +51,70 @@ def _root(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def closure_arrays(rule) -> list:
-    """Arrays a backward rule keeps alive through its closure cells: bare
-    arrays, tensors' data, either inside a tuple or list, and the same held
-    by a function in a cell (a kernel's own backward, say)."""
-    found, pending, visited = [], [rule], set()
+def closure_arrays(*fns) -> list:
+    """Arrays that functions (a backward rule, a recipe) keep alive: through
+    closure cells and default arguments, as bare arrays, tensors' data,
+    items of a tuple or list, the array behind a bound method
+    (``arr.__getitem__``) or a ``functools.partial``, and the same held by
+    a function they reach (a kernel's own backward, a recipe it keeps)."""
+    found, pending, visited = [], list(fns), set()
     while pending:
-        fn = pending.pop()
-        if id(fn) in visited:
+        item = pending.pop()
+        if isinstance(item, Tensor):
+            item = item.data
+        if id(item) in visited:
             continue
-        visited.add(id(fn))
-        for cell in fn.__closure__ or ():
-            try:
-                value = cell.cell_contents
-            except ValueError:  # an empty cell
-                continue
-            for item in value if isinstance(value, (tuple, list)) else (value,):
-                if isinstance(item, Tensor):
-                    item = item.data
-                if isinstance(item, np.ndarray):
-                    found.append(item)
-                elif isinstance(item, types.FunctionType):
-                    pending.append(item)
+        visited.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            pending.extend(item)
+        elif isinstance(item, types.FunctionType):
+            for cell in item.__closure__ or ():
+                try:
+                    pending.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+            pending.extend(item.__defaults__ or ())
+        elif isinstance(item, functools.partial):
+            pending += [item.func, *item.args, *item.keywords.values()]
+        elif isinstance(item, (types.BuiltinMethodType, types.MethodType, types.MethodWrapperType)):
+            pending.append(item.__self__)
     return found
 
 
 def graph_nodes(loss: Tensor) -> list:
-    """``(output, inputs, rule)`` of every pending recorded op reachable
-    from ``loss``, in creation order."""
-    found, stack, seen = [], [loss], set()
+    """Every pending record ``[seq, parents, rule, recipe]`` reachable from
+    ``loss``, in creation order."""
+    found, stack, seen = [], [loss._node], set()
     while stack:
-        t = stack.pop()
-        if t._node is None or id(t) in seen:
+        rec = stack.pop()
+        if not rec or id(rec) in seen:
             continue
-        seen.add(id(t))
-        found.append(t)
-        stack.extend(t._node[1])
-    found.sort(key=lambda t: t._node[0])
-    return [(t, t._node[1], t._node[2]) for t in found]
+        seen.add(id(rec))
+        found.append(rec)
+        stack.extend(p for p in rec[1] if isinstance(p, list))
+    return sorted(found, key=lambda rec: rec[0])
 
 
 def graph_saved_bytes(loss: Tensor) -> int:
     """Bytes of the distinct non-parameter buffers the pending graph of
-    ``loss`` keeps alive: every reachable op's output and inputs and its
-    rule's closure cells.  Views count once, as the array that owns their
-    memory; parameters and arrays viewing them are left out."""
-    nodes = graph_nodes(loss)
-    params, seen, total = set(), set(), 0
-    for _, inputs, _ in nodes:
-        for t in inputs:
-            if isinstance(t, Parameter):
-                params.add(id(_root(t.data)))
-    for out, inputs, rule in nodes:
-        arrays = [out.data]
-        arrays += [t.data for t in inputs if not isinstance(t, Parameter)]
-        arrays += closure_arrays(rule)
-        for arr in arrays:
-            root = _root(arr)
-            if id(root) not in params and id(root) not in seen:
-                seen.add(id(root))
-                total += root.nbytes
+    ``loss`` keeps alive: the loss itself, every reachable record's leaf
+    parents and whatever its rule and recipe reach (``closure_arrays``).
+    Views count once, as the array that owns their memory; parameters and
+    arrays viewing them are left out."""
+    records = graph_nodes(loss)
+    params = {id(_root(p.data)) for rec in records for p in rec[1] if isinstance(p, Parameter)}
+    arrays = [loss.data]
+    for _, parents, rule, recipe in records:
+        arrays += [p.data for p in parents if isinstance(p, Tensor)]
+        arrays += closure_arrays(rule, recipe)
+    seen, total = set(), 0
+    for arr in arrays:
+        root = _root(arr)
+        if id(root) not in params and id(root) not in seen:
+            seen.add(id(root))
+            total += root.nbytes
     return total
 
 

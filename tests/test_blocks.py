@@ -1,9 +1,12 @@
 """Block-level tests: MBConv, window attention, branches, fusion."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from segnetr.autodiff import Tensor, backward, grad_check, mean, sum_
+from segnetr.autodiff import functional as F
 from segnetr.autodiff.tensor import no_grad
 from segnetr.blocks import (
     BatchNorm2d,
@@ -19,6 +22,7 @@ from segnetr.costs import count_params
 from segnetr.errors import ConfigError, ShapeError
 from segnetr.layout import local_partition
 
+from .conftest import _root, closure_arrays
 from .oracles import (
     block_interaction_naive,
     branch_naive,
@@ -64,6 +68,28 @@ class TestMBConv:
             + 2 * c          # project norm affine
         )
         assert count_params(MBConv(c, rng=rng_(3))) == want == 69312
+
+    def test_convs_keep_their_input_recipes_not_their_inputs(self, monkeypatch):
+        # the depthwise conv reads s1 = silu(bn(e)) and the project conv
+        # hg = s2·gate; each keeps its producer's recipe, so after a
+        # train-mode forward neither array is alive, and neither conv rule
+        # reaches a full-size array its producer's rule does not keep
+        seen, real = [], F.conv2d
+
+        def recording(x, *args, **kwargs):
+            out = real(x, *args, **kwargs)
+            seen.append((weakref.ref(x.data), x.size, x._node and x._node[2], out._node[2]))
+            return out
+
+        monkeypatch.setattr(F, "conv2d", recording)
+        block = MBConv(4, rng=rng_(6)).train()
+        y = block(Tensor(rng_(7).standard_normal((2, 4, 8, 8)).astype(np.float32), requires_grad=True))
+        assert len(seen) == 5  # expand, depthwise, SE reduce and expand, project
+        for input_ref, size, producer_rule, conv_rule in (seen[1], seen[4]):
+            assert input_ref() is None
+            kept = {id(_root(a)) for a in closure_arrays(producer_rule)}
+            assert [a.shape for a in closure_arrays(conv_rule) if a.size >= size and id(_root(a)) not in kept] == []
+        assert y._node
 
     def test_gradcheck_full_block(self):
         # N=1 requires eval-mode statistics (training would be degenerate).

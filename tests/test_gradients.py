@@ -89,7 +89,7 @@ class TestBackward:
         loss = sum_(h)
         assert h._node is not None and loss._node is not None
         backward(loss)
-        assert h._node is None and loss._node is None
+        assert h._node == [] and loss._node == []  # emptied, so their arrays are freed
 
     def test_saved_arrays_freed_during_backward(self):
         # a later op's saved array is gone by the time an earlier op's rule runs
@@ -109,8 +109,21 @@ class TestBackward:
         assert saved_ref() is not None
         backward(loss)
         assert freed_when_earlier_rule_ran == [True]
-        assert loss._node is None
+        assert loss._node == []
         np.testing.assert_array_equal(x.grad, np.arange(4.0))
+
+    def test_output_no_rule_keeps_dies_while_the_loss_is_pending(self):
+        # sum_ keeps only shapes, and a record keeps its inputs' records,
+        # not their arrays
+        x, y = t64(np.ones(4)), t64(np.full(4, 2.0))
+        h = x + y
+        h_data = weakref.ref(h.data)
+        loss = sum_(h)
+        del h
+        assert h_data() is None
+        assert loss._node
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, np.ones(4))
 
     def test_no_grad_records_nothing(self):
         x = t64(np.ones(4))
@@ -383,6 +396,9 @@ def _op_inventory(rng):
         ("conv2d 1x1 on a 1x1 map", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(3, 5, 1, 1), t(4, 5, 1, 1, scale=0.5), t(4)]),
         ("conv_norm eval", GENERAL, _conv_norm_eval(eval_rm, eval_rv), [t(2, 3, 5, 6), t(4, 3, 3, 3, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
         ("batch_norm_silu", GENERAL, lambda x, g, b: batch_norm_silu(x, g, b, rm.copy(), rv.copy()), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
+        # convs whose rules rebuild their input from the producer's recipe
+        ("batch_norm_silu → conv2d depthwise", GENERAL, lambda x, g, b, w: conv2d(batch_norm_silu(x, g, b, rm.copy(), rv.copy()), w, padding=1, groups=4), [t(3, 4, 4, 5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
+        ("mul gate → conv2d 1x1", AFFINE, lambda h, gate, w: conv2d(h * gate, w), [t(2, 4, 3, 5), t(2, 4, 1, 1), t(3, 4, 1, 1, scale=0.5)]),
     ]
 
 
@@ -508,6 +524,37 @@ class TestWorkerSplit:
         monkeypatch.setattr(gradcheck, "PARALLEL_MIN_COORDS", 10**9)
         with pytest.raises(ValueError, match="^coordinate 5$"):
             grad_check(fn, [t64(np.zeros(256))])
+
+    @pytest.mark.parametrize("split", [False, True], ids=["in process", "split"])
+    def test_input_restored_when_fn_raises(self, monkeypatch, two_cores, split):
+        # a perturbation of the caller's own input is undone on the way out;
+        # a worker's dies with it, so the split case retries until the
+        # caller's process took coordinate 3 (a worker sleeps at its first
+        # call, so the caller almost always does at once)
+        if not split:
+            monkeypatch.setattr(gradcheck, "PARALLEL_MIN_COORDS", 10**9)
+        parent = os.getpid()
+        for _ in range(20):
+            took_3, slept = [], []
+
+            def fn(x):
+                if os.getpid() != parent and not slept:
+                    slept.append(True)
+                    time.sleep(0.05)
+                if x.data[3] != 0:
+                    if os.getpid() == parent:
+                        took_3.append(True)
+                    raise ValueError("coordinate 3")
+                return _square_sum(x)
+
+            x = t64(np.zeros(256))
+            with pytest.raises(ValueError, match="^coordinate 3$"):
+                grad_check(fn, [x])
+            np.testing.assert_array_equal(x.data, np.zeros(256))
+            self.assert_no_child_left()
+            if took_3:
+                break
+        assert took_3
 
     def test_worker_that_dies_raises_naming_its_exit_status(self, two_cores, worker_began):
         parent = os.getpid()

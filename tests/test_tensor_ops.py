@@ -28,7 +28,7 @@ from segnetr.autodiff import (
     transpose,
 )
 from segnetr.autodiff import batch_norm, batch_norm_silu, no_grad, sum_
-from segnetr.autodiff.functional import _interp_matrix
+from segnetr.autodiff.functional import _interp_matrix, _row_blocks
 from segnetr.autodiff.tensor import mul
 from segnetr.errors import ShapeError, ValidationError
 
@@ -166,7 +166,7 @@ class TestFusedOps:
         y = op(*inputs)
         g = np.asarray(rng.standard_normal(y.shape)).astype(dtype)
         backward(sum_(y * Tensor(g)))
-        assert y._node is None
+        assert y._node == []
         assert y.data.dtype == dtype and all(t.grad.dtype == dtype for t in inputs)
         return y.data, g, [t.grad for t in inputs]
 
@@ -387,6 +387,31 @@ class TestMeanNorms:
             batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
 
 
+# the MBConv depthwise inputs of the toy model (batch 4, C=16) at its four stages
+TOY_MBCONV_SHAPES = [(4, 64, 56, 56), (4, 128, 28, 28), (4, 256, 14, 14), (4, 512, 7, 7)]
+
+
+@pytest.mark.parametrize("shape", TOY_MBCONV_SHAPES, ids=str)
+def test_recipes_rebuild_their_outputs_bitwise(shape):
+    # a conv rule that keeps a recipe sees the very bits the forward made,
+    # whole (the 1×1 rule) or a block of planes at a time copied into the
+    # interior of zero-padded planes (the depthwise rule)
+    rng = np.random.default_rng(19)
+    n, c, h, w = shape
+    e = Tensor((rng.standard_normal(shape) * 3.0 + 0.5).astype(np.float32), requires_grad=True)
+    gamma, beta = (Tensor((rng.standard_normal(c) * 0.5 + s).astype(np.float32), requires_grad=True)
+                   for s in (1.0, 0.0))
+    s1 = batch_norm_silu(e, gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32))
+    gate = Tensor(rng.uniform(0, 1, (n, c, 1, 1)).astype(np.float32), requires_grad=True)
+    for y in (s1, s1 * gate):
+        recipe = y._node[3]
+        assert recipe(slice(None)).tobytes() == y.data.tobytes()
+        padded = np.zeros((n * c, h + 2, w + 2), dtype=np.float32)
+        for b in _row_blocks(n * c, padded[0].nbytes * 5):
+            padded[b, 1:-1, 1:-1] = recipe(b)
+        assert np.ascontiguousarray(padded[:, 1:-1, 1:-1]).tobytes() == y.data.tobytes()
+
+
 class TestBatchNormSilu:
     """The fused training ``batch_norm_silu`` node against the composed
     ``silu(batch_norm(x))`` byte for byte, and against the scalar oracle."""
@@ -566,7 +591,7 @@ class TestWriteOnce:
         y = op(*inputs)
         assert not np.shares_memory(y.data, inputs[0].data)
         # the op's own rule, called directly, leaves its gradient and inputs alone
-        _, saved, rule = y._node
+        _, saved, rule, _ = y._node
         assert saved == tuple(inputs)
         g = np.asarray(rng.standard_normal(y.shape))
         g_before = g.tobytes()
