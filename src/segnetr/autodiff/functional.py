@@ -102,11 +102,13 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight.T + bias`` over the last axis; weight is (out, in).
 
     One op: with ``x2`` the input as rows, the rule is ``gx = g2 @ W``,
-    ``gW = g2ᵀ @ x2`` and ``gb = Σ g2`` over the rows."""
+    ``gW = g2ᵀ @ x2`` and ``gb = Σ g2`` over the rows.  The forward is one
+    GEMM per index of a leading axis, so an image's outputs do not depend
+    on the rest of its batch: BLAS picks its kernels by the row count."""
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight in-width {weight.shape[1]}")
     xshape, x2 = x.data.shape, x.data.reshape(-1, x.shape[-1])
-    y = x2 @ weight.data.T
+    y = np.matmul(x2.reshape(x.shape[0] if x.ndim > 2 else 1, -1, x.shape[-1]), weight.data.T)
     if bias is not None:
         y += bias.data
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -116,7 +118,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         gx, gw = (g2 @ weight.data).reshape(xshape), g2.T @ x2
         return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
 
-    return _make_output(y.reshape(x.shape[:-1] + y.shape[1:]), inputs, bw)
+    return _make_output(y.reshape(x.shape[:-1] + y.shape[2:]), inputs, bw)
 
 
 def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
@@ -124,6 +126,34 @@ def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
     if out <= 0:
         raise ShapeError(f"conv2d: kernel {k} with pad {pad} exceeds input extent {extent}")
     return out
+
+
+# Row-blocked kernels (depthwise taps, the fused batch-norm SiLU) work on
+# blocks of about this many bytes, so a block and its temporaries stay in L2.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(rows, row_bytes):
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(h, w, kh, kw, s, pad):
+    """Phase-plane extents H', W' at stride s, tap offsets and, per phase (a, b),
+    the (plane index, phase-grid index) of the pixels at padded index (a, b) mod s."""
+    hs, ws = -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)
+
+    def axis(extent, a):
+        i0 = (a - pad) % s
+        return slice(i0, None, s), slice((i0 + pad) // s, (i0 + pad) // s + len(range(i0, extent, s)))
+
+    offsets = tuple(((di % s) * s + dj % s) * hs * ws + (di // s) * ws + dj // s
+                    for di in range(kh) for dj in range(kw))
+    pairs = tuple(((..., ri, rj), (..., a, b, ui, uj))
+                  for a, (ri, ui) in enumerate(axis(h, a) for a in range(s))
+                  for b, (rj, uj) in enumerate(axis(w, b) for b in range(s)))
+    return hs, ws, offsets, pairs
 
 
 def conv2d(
@@ -134,16 +164,31 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """2-D cross-correlation, NCHW layout, square stride/padding.
+    """2-D cross-correlation, NCHW layout, square stride/padding; weight is
+    (out_c, in_c/groups, kH, kW).
 
-    weight is (out_c, in_c/groups, kH, kW).  Depthwise convolutions
-    (``groups == in_c == out_c``) run on flat zero-padded rows, see
-    :func:`_depthwise`.  Every other case is a loop over the kH·kW kernel
-    taps; each tap is a strided view contraction, so the cost is the
-    standard MAC count without an im2col buffer.
+    Every case runs on flat rows, one per (image, channel) plane, where each
+    kernel tap is one contiguous slice of every row (kn2row: Vasudevan,
+    Anderson and Gregg, arXiv 1704.04428).  A row holds the zero-padded plane
+    split into s² phase planes (s the stride) of H' × W' = ⌈(H+2p)/s⌉ ×
+    ⌈(W+2p)/s⌉, phase (a, b) holding the padded pixels (s·u + a, s·v + b),
+    then (kW−1)//s zeros.  Tap (di, dj) reads the slice of length oh·W' at
+    ``phase(di mod s, dj mod s)·H'·W' + (di//s)·W' + dj//s``: the output on
+    an (oh, W') grid, whose columns past ow wrap and are cropped.  At
+    stride 1 a row is the padded plane, and an unpadded stride-1 conv with
+    kW = 1 reads its input planes as they are.
 
-    If the op that made ``x`` offers a recipe for its planes (``mul``,
-    ``batch_norm_silu``), the rule keeps that instead of ``x``'s array.
+    Dense and grouped taps are a matmul per group, batched over a block's
+    images; depthwise (``groups == in_c == out_c``) taps are a multiply per
+    row.  Rows are built into one buffer a block of about ``_BLOCK_BYTES``
+    at a time, whole images for dense convs (the batch when the rows are
+    the input planes).  If the op that made ``x`` offers a recipe for its
+    planes (``mul``, ``batch_norm_silu``), the rule keeps that instead of
+    ``x``'s array and rebuilds each block.  The rule lays the output
+    gradient on the same grid, zero in the wrapped columns and after ``top``
+    zeros: ``gw`` is its product with each tap's slice, and each phase plane
+    of ``gx`` gathers the transposed taps of its phase from it, at ``top``
+    less their in-phase offsets.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
@@ -158,174 +203,128 @@ def conv2d(
     oh = _conv_out_extent(h, kh, stride, padding)
     ow = _conv_out_extent(w, kw, stride, padding)
 
-    recipe = x._node[3] if x._node else None
-    if groups == cin == out_c:
-        y, conv_bw = _depthwise(x.data, weight.data, stride, padding, oh, ow, recipe)
+    wd, dt, s, depthwise = weight.data, x.data.dtype, stride, groups == cin == out_c
+    hs, ws, offsets, pairs = _layout(h, w, kh, kw, s, padding)
+    length, plane = oh * ws, hs * ws
+    as_is = s == 1 and padding == 0 and kw == 1
+    # a block is a slice of rows r = (image, channel) for depthwise convs and
+    # of images, each (channels, columns), for dense ones: the leading axes
+    # of the input and output rows
+    lead_in, lead_out = ((n * cin,), (n * cin,)) if depthwise else ((n, cin), (n, out_c))
+    if depthwise:
+        # taps[t, r] is the weight of tap t for row r
+        taps = np.ascontiguousarray(np.tile(wd.reshape(cin, -1), (n, 1)).T)[:, :, None]
     else:
-        y, conv_bw = _tap_loop(x.data, weight.data, stride, padding, groups, oh, ow, recipe)
+        # wt[t] is tap t's (out_c, cpg) matrix; group i maps input channels c to output channels o
+        wt = np.ascontiguousarray(wd.reshape(out_c, cpg, -1).transpose(2, 0, 1))
+        opg = out_c // groups
+        grp = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg)) for i in range(groups)]
+
+    def row_blocks(whole):
+        # about _BLOCK_BYTES of rows each; a dense block holds whole images, all if `whole`
+        if depthwise:
+            return _row_blocks(n * cin, length * dt.itemsize)
+        return [slice(0, n)] if whole else _row_blocks(n, cin * (s * s * plane + (kw - 1) // s) * dt.itemsize)
+
+    def rows(planes_of, blocks):
+        # (block, its rows); the zeros a block leaves stay for the next
+        flat = None if as_is else np.zeros((blocks[0].stop,) + lead_in[1:] + (s * s * plane + (kw - 1) // s,), dtype=dt)
+        for b in blocks:
+            xb = planes_of(b)
+            if not as_is:
+                grid = flat[: len(xb), ..., : s * s * plane].reshape(xb.shape[:-2] + (s, s, hs, ws))
+                for at, to in pairs:
+                    grid[to] = xb[at]
+            # an image's planes as they are, so its bits do not depend on the batch
+            yield b, xb.reshape(xb.shape[:-2] + (h * w,)) if as_is else flat[: len(xb)]
+
+    def tap_pass(b, terms, out, p, back=False):
+        # out = Σ over (t, src) of tap t's weights on rows src (back: their
+        # transpose, from output-row gradients to input rows); the first
+        # term is written, later ones go through p and are added
+        if not terms:
+            out[...] = 0
+        for i, (t, src) in enumerate(terms):
+            dst = p[: len(out)] if i else out
+            if depthwise:
+                np.multiply(src, taps[t, b], out=dst)
+            elif back:
+                for o, c in grp:
+                    np.matmul(wt[t, o].T, src[:, o], out=dst[:, c])
+            else:
+                for o, c in grp:
+                    np.matmul(wt[t, o], src[:, c], out=dst[:, o])
+            if i:
+                out += dst
+
+    planes = x.data.reshape(lead_in + (h, w))
+    blocks = row_blocks(as_is)
+    y = np.empty(lead_out + (oh, ow), dtype=dt)
+    # the accumulator if there are wrapped columns to crop, the product buffer if there are taps to add
+    acc, prod = (np.empty((blocks[0].stop,) + lead_out[1:] + (length,), dtype=dt) if need else None
+                 for need in (ws != ow, len(offsets) > 1))
+    for b, r in rows(planes.__getitem__, blocks):
+        a = y.reshape(lead_out + (-1,))[b] if ws == ow else acc[: b.stop - b.start]
+        tap_pass(b, [(t, r[..., off : off + length]) for t, off in enumerate(offsets)], a, prod)
+        if ws != ow:
+            y[b] = a.reshape(a.shape[:-1] + (oh, ws))[..., :ow]
+    y = y.reshape(n, out_c, oh, ow)
     if bias is not None:
         y += bias.data[None, :, None, None]
+    recipe = x._node[3] if x._node else None
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    def rebuilt(b):  # a dense block of whole images from the recipe's N·C planes
+        return recipe(slice(b.start * cin, b.stop * cin)).reshape(-1, cin, h, w)
 
-    def bw(g):
-        gx, gw = conv_bw(g)
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
-
-    return _make_output(y, inputs, bw)
-
-
-def _tap_loop(xd, wd, stride, padding, groups, oh, ow, recipe):
-    """Dense and grouped convolution: one batched matmul per kernel tap and
-    group.  The first tap's product is written as the output and later taps
-    add into it, so a 1×1 convolution is one matmul.  Returns the output and
-    its backward rule for ``(gx, gw)``, which pads the input again, rebuilt
-    whole by ``recipe`` if there is one."""
-    n, cin, h, w = xd.shape
-    dt = xd.dtype
-    out_c, cpg, kh, kw = wd.shape
-    opg = out_c // groups
-    # (output channels, input channels) of each group
-    blocks = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg)) for i in range(groups)]
-
-    def tap_views(x):
-        src = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-        for di in range(kh):
-            for dj in range(kw):
-                yield di, dj, src[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
-
-    area = oh * ow
-    y = np.empty((n, out_c, area), dtype=dt)
-    for di, dj, view in tap_views(xd):
-        for o, c in blocks:
-            # (opg, cpg) @ (n, cpg, area): BLAS-backed batched matmul
-            wt, vt = wd[o, :, di, dj], view[:, c].reshape(n, cpg, area)
-            if di == dj == 0:
-                np.matmul(wt, vt, out=y[:, o])
-            else:
-                y[:, o] += np.matmul(wt, vt)
-
-    saved = (lambda: xd) if recipe is None else (lambda: recipe(slice(None)).reshape(n, cin, h, w))
+    # the rule keeps the recipe, if there is one, not the input
+    saved = planes.__getitem__ if recipe is None else recipe if depthwise else rebuilt
+    whole, no_bias = as_is and recipe is None, bias is None
 
     def bw(g):
-        gflat = g.reshape(n, out_c, area)
-        gw = np.empty_like(wd)
-        for di, dj, view in tap_views(saved()):
-            for o, c in blocks:
-                go, vt = gflat[:, o], view[:, c].reshape(n, cpg, area)
-                if area == 1:
-                    # a 1×1 map (squeeze-excitation): one GEMM with the batch as K
-                    np.matmul(go[:, :, 0].T, vt[:, :, 0], out=gw[o, :, di, dj])
-                else:
-                    # per-image products summed over the batch: no operand copies
-                    np.matmul(go, vt.transpose(0, 2, 1)).sum(axis=0, out=gw[o, :, di, dj])
-        del view, vt  # the (padded, perhaps rebuilt) input dies before gx's buffers exist
-        gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=dt)
-        for di in range(kh):
-            for dj in range(kw):
-                gview = gxp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
-                for o, c in blocks:
-                    gview[:, c] += np.matmul(wd[o, :, di, dj].T, gflat[:, o]).reshape(n, cpg, oh, ow)
-        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        return gx, gw
-
-    return y.reshape(n, out_c, oh, ow), bw
-
-
-# Row-blocked kernels (depthwise taps, the fused batch-norm SiLU) work on
-# blocks of about this many bytes, so a block and its temporaries stay in L2.
-_BLOCK_BYTES = 256 * 1024
-
-
-def _row_blocks(rows, row_bytes):
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
-
-
-def _depthwise(xd, wd, stride, padding, oh, ow, recipe):
-    """Depthwise convolution on flat zero-padded rows.
-
-    Each (n, c) plane becomes one row holding the padded image (height H',
-    width W') plus kW − 1 trailing zeros.  The stride-1 output with all W'
-    columns is then ``Σ_t k[c, t] · row[off_t : off_t + (H'−kH+1)·W']`` with
-    ``off_t = di·W' + dj``: every tap is one contiguous slice (see
-    :func:`_tap_pass`).  The kW − 1 wrapped columns of each output row are
-    cropped and, for stride > 1, the stride-1 result is subsampled.
-
-    Rows are padded a block at a time; in the backward, ``recipe``, if
-    there is one, rebuilds each block.  The backward is a gather in the same
-    layout: one zero-filled row per plane, ``ext``, holds the output gradient
-    at its stride-1 positions with ``top = (kH−1)·W' + (kW−1)`` zeros before
-    and after, the zero-dilated gradient, so one form serves every stride.
-    ``gw`` is a per-row dot of it with each shifted input slice; ``gx`` is a
-    forward-style tap pass over ``ext`` at offsets ``p·W' + top − off_t``,
-    run over the H interior rows and cropped to W.
-    """
-    n, c, h, w = xd.shape
-    dt = xd.dtype
-    kh, kw = wd.shape[2:]
-    hp, wp = h + 2 * padding, w + 2 * padding
-    rows, full_h = n * c, hp - kh + 1
-    length = full_h * wp
-    offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-
-    def padded_rows(rows_of, b):
-        flat = np.zeros((b.stop - b.start, hp * wp + kw - 1), dtype=dt)
-        grid = flat[:, : hp * wp].reshape(-1, hp, wp)
-        grid[:, padding : padding + h, padding : padding + w] = rows_of(b)
-        return flat
-
-    # taps[t, r] is the weight of tap t for row r = (image, channel)
-    taps = np.ascontiguousarray(np.tile(wd.reshape(c, kh * kw), (n, 1)).T)[:, :, None]
-    # output (row, i, j) sits at stride-1 position (stride·i, stride·j)
-    keep = (slice(None), slice(None, None, stride), slice(None, (ow - 1) * stride + 1, stride))
-    planes = xd.reshape(rows, h, w)
-    saved_rows = recipe or planes.__getitem__
-    y = _tap_pass(functools.partial(padded_rows, planes.__getitem__), taps, offsets, length, wp, keep,
-                  np.empty((rows, oh, ow), dtype=dt))
-
-    def bw(g):
-        top = offsets[-1]
-        ext = np.zeros((rows, length + 2 * top), dtype=dt)
-        gfull = ext[:, top : top + length]
-        gfull.reshape(rows, full_h, wp)[keep] = g.reshape(rows, oh, ow)
-        gtaps = np.empty((kh * kw, rows), dtype=dt)
-        for b in _row_blocks(rows, length * dt.itemsize):
-            flat = padded_rows(saved_rows, b)
+        top = offsets[-1] % plane
+        if (top, plane, ws) == (0, length, ow):
+            ext = g.reshape(lead_out + (length,))
+        else:
+            ext = np.zeros(lead_out + (top + plane,), dtype=dt)
+            ext[..., top : top + length].reshape(lead_out + (oh, ws))[..., :ow] = g.reshape(lead_out + (oh, ow))
+        gws = np.empty((len(offsets), n * cin) if depthwise else (len(offsets), out_c, cpg), dtype=dt)
+        gx = np.empty(lead_in + ((h * w,) if as_is else (h, w)), dtype=dt)
+        blocks = row_blocks(whole)
+        for b, r in rows(saved, blocks):
+            gb = ext[b][..., top : top + length]
             for t, off in enumerate(offsets):
-                gtaps[t, b] = np.einsum("ij,ij->i", gfull[b], flat[:, off : off + length])
-        gw = gtaps.reshape(kh * kw, n, c).sum(axis=1).T.reshape(c, 1, kh, kw)
-        gx = _tap_pass(
-            ext.__getitem__, taps, [padding * wp + top - off for off in offsets], h * wp, wp,
-            (slice(None), slice(None), slice(padding, padding + w)),
-            np.empty((rows, h, w), dtype=dt),
-        )
-        return gx.reshape(n, c, h, w), gw
+                src = r[..., off : off + length]
+                if depthwise:
+                    gws[t, b] = np.einsum("ij,ij->i", gb, src)
+                    continue
+                for o, c in grp:  # summed over images in image order
+                    if length == 1:  # a 1×1 map (squeeze-excitation): the images are K
+                        part = np.matmul(gb[:, o, 0].T, src[:, c, 0])[None]
+                    else:
+                        part = np.matmul(gb[:, o], src[:, c].transpose(0, 2, 1))
+                    if b.start:  # the earlier blocks' sum goes first
+                        part[0] += gws[t, o]
+                    part.sum(axis=0, out=gws[t, o])
+        acc, prod = (np.empty((blocks[0].stop,) + lead_in[1:] + (plane,), dtype=dt).ravel() for _ in range(2))
+        for b in blocks:
+            eb, k = ext[b], b.stop - b.start
+            for ph, (at, (*_, ui, uj)) in enumerate(pairs):
+                # the grid rows of phase ph that hold input pixels, gathered
+                # into a contiguous block and copied to their pixels
+                lo, m = ui.start * ws, (ui.stop - ui.start) * ws
+                terms = [(t, eb[..., top - off % plane + lo :][..., :m])
+                         for t, off in enumerate(offsets) if off // plane == ph]
+                shape = (k,) + lead_in[1:] + (m,)
+                a = gx[b] if as_is else acc[: math.prod(shape)].reshape(shape)
+                tap_pass(b, terms, a, prod[: a.size].reshape(a.shape), back=True)
+                if not as_is:
+                    gx[b][at] = a.reshape(a.shape[:-1] + (-1, ws))[..., uj]
+        if depthwise:
+            gws = gws.reshape(len(offsets), n, cin).sum(axis=1)
+        grads = gx.reshape(n, cin, h, w), np.ascontiguousarray(np.moveaxis(gws, 0, -1)).reshape(out_c, cpg, kh, kw)
+        return grads if no_bias else grads + (g.sum(axis=(0, 2, 3)),)
 
-    return y.reshape(n, c, oh, ow), bw
-
-
-def _tap_pass(src, taps, offsets, length, wp, keep, out):
-    """``out[r] = grid(Σ_t taps[t, r] · src(r)[offsets[t] : offsets[t] + length])[keep]``,
-    where the sum is viewed as a (length / W', W') grid and ``src(b)`` gives rows ``b``.
-
-    Taps accumulate in order, the first written rather than added to zeros,
-    over blocks of rows of about ``_BLOCK_BYTES`` of accumulator, so a
-    block's input, accumulator and product stay in L2.
-    """
-    blocks = _row_blocks(len(out), length * out.itemsize)
-    acc = np.empty((blocks[0].stop, length), dtype=out.dtype)
-    prod = np.empty_like(acc)
-    for b in blocks:
-        s, a, p = src(b), acc[: b.stop - b.start], prod[: b.stop - b.start]
-        np.multiply(s[:, offsets[0] : offsets[0] + length], taps[0, b], out=a)
-        for t in range(1, len(offsets)):
-            np.multiply(s[:, offsets[t] : offsets[t] + length], taps[t, b], out=p)
-            a += p
-        out[b] = a.reshape(b.stop - b.start, -1, wp)[keep]
-    return out
+    return _make_output(y, (x, weight) if bias is None else (x, weight, bias), bw)
 
 
 # -- bilinear upsampling -----------------------------------------------------

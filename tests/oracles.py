@@ -74,6 +74,35 @@ def depthwise_grad_naive(x, w, g, stride=1, padding=1):
     return gx, gw
 
 
+def conv2d_grad_naive(x, w, g, stride=1, padding=1, groups=1):
+    """(gx, gw, gb) of a grouped convolution for output gradient ``g``: each
+    output position hands ``g·w`` to the input pixels it read, ``g·x`` to
+    the weights it used and ``g`` to its channel's bias."""
+    n, cin, h, wid = x.shape
+    cout, cpg, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    out_per_group = cout // groups
+    gx = np.zeros((n, cin, h, wid), dtype=np.float64)
+    gw = np.zeros((cout, cpg, kh, kw), dtype=np.float64)
+    gb = np.zeros(cout, dtype=np.float64)
+    for img in range(n):
+        for o in range(cout):
+            first = (o // out_per_group) * cpg
+            for i in range(oh):
+                for j in range(ow):
+                    go = float(g[img, o, i, j])
+                    gb[o] += go
+                    for c in range(cpg):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                r = i * stride + di - padding
+                                s = j * stride + dj - padding
+                                if 0 <= r < h and 0 <= s < wid:
+                                    gx[img, first + c, r, s] += go * float(w[o, c, di, dj])
+                                    gw[o, c, di, dj] += go * float(x[img, first + c, r, s])
+    return gx, gw, gb
+
+
 def window_of(i: int, j: int, p: int, grid_cols: int) -> tuple[int, int]:
     """Window index (row-major) and in-window offset for pixel (i, j)."""
     return (i // p) * grid_cols + (j // p), (i % p) * p + (j % p)

@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segnetr.autodiff import Module, Tensor, cross_entropy, grad_check, no_grad
+from segnetr.autodiff import Module, Tensor, backward, cross_entropy, grad_check, no_grad
 from segnetr.blocks import BatchNorm2d, SegnetrBlock
 from segnetr.costs import cost_report, count_params
 from segnetr.errors import ConfigError, ShapeError
-from segnetr.model import MiniUnet, ModelConfig, SegnetrModel, build, stage_extents
-from segnetr.training import toy_config
+from segnetr.data import gen_synthetic
+from segnetr.model import INTERACTION_MODES, MiniUnet, ModelConfig, SegnetrModel, build, stage_extents
+from segnetr.training import predict, toy_config
 from segnetr.verify import GENERAL_TOL
 
 from .conftest import forward_macs, graph_nodes, graph_saved_bytes, perturb_state
@@ -383,6 +384,66 @@ class TestNumericsBudget:
             ref = twin(Tensor(x)).data
         assert got.dtype == np.float32 and ref.dtype == np.float64
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-4
+
+
+class TestBatchInvariance:
+    """An image's eval logits and mask do not depend on the other images of
+    its batch.  One GEMM over the batch's rows in ``linear``, or a 1×1 conv
+    that reads a transposed input in F order at N = 1 only, breaks this by
+    1e-5 to 1e-3 at these shapes."""
+
+    @pytest.mark.parametrize("hw", [(32, 32), (32, 48)], ids=str)
+    @pytest.mark.parametrize("variant", ["segnetr", "segnetr-s", "mini-unet"])
+    def test_eval_logits_of_a_batch_equal_its_singles(self, variant, hw):
+        model = perturb_state(build(ModelConfig(variant=variant, resolution=32, num_classes=2, seed=3)), 8).eval()
+        x = np.random.default_rng(9).standard_normal((3, 3) + hw).astype(np.float32)
+        with no_grad():
+            batch = model(Tensor(x)).data
+            singles = [model(Tensor(x[i : i + 1])).data for i in range(3)]
+        assert batch.tobytes() == np.concatenate(singles).tobytes()
+
+    def test_predicted_masks_do_not_depend_on_batch_size(self):
+        model = perturb_state(build(small_cfg()), 8)
+        images = gen_synthetic(8, 32, 2, seed=5).images
+        masks = [predict(model, images, batch_size=b) for b in (1, 3, 4)]
+        assert masks[0].tobytes() == masks[1].tobytes() == masks[2].tobytes()
+
+
+MODEL_GRADIENT_CASES = [dict(interaction_mode=m) for m in INTERACTION_MODES] + [
+    dict(skip_mode="concat"), dict(variant="mini-unet", skip_mode="irsc"), dict(variant="mini-unet", skip_mode="concat")]
+
+
+@pytest.mark.parametrize("over", MODEL_GRADIENT_CASES, ids=["-".join(c.values()) for c in MODEL_GRADIENT_CASES])
+def test_model_gradient_along_random_directions(over):
+    # every parameter at once: ⟨∇L, v⟩ against the central difference
+    # (L(θ + hv) − L(θ − hv)) / 2h for 8 random unit directions v, on a
+    # perturbed float64 model in train mode (C=4, 32², batch 2)
+    rng = np.random.default_rng(12)
+    model = perturb_state(build(small_cfg(**over), dtype=np.float64), 5).train()
+    x = Tensor(rng.standard_normal((2, 3, 32, 32)), dtype=np.float64)
+    labels = rng.integers(0, 2, size=(2, 32, 32))
+    params = [p for _, p in model.named_parameters()]
+    backward(cross_entropy(model(x), labels))
+    grads = [p.grad for p in params]
+
+    def loss_along(v, h):
+        for p, d in zip(params, v):
+            p.data += h * d
+        try:
+            with no_grad():
+                return float(cross_entropy(model(x), labels).data)
+        finally:
+            for p, d in zip(params, v):
+                p.data -= h * d
+
+    h = 1e-4
+    for _ in range(8):
+        v = [rng.standard_normal(p.shape) for p in params]
+        norm = np.sqrt(sum(float(np.sum(d * d)) for d in v))
+        v = [d / norm for d in v]
+        analytic = sum(float(np.sum(g * d)) for g, d in zip(grads, v))
+        numeric = (loss_along(v, h) - loss_along(v, -h)) / (2 * h)
+        assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) < GENERAL_TOL, (analytic, numeric)
 
 
 class TestMiniUnet:

@@ -37,6 +37,7 @@ from .oracles import (
     batch_norm_silu_naive,
     bilinear2x_naive,
     conv2d_naive,
+    conv2d_grad_naive,
     cross_entropy_naive,
     depthwise_grad_naive,
     gelu_tanh_reference,
@@ -302,6 +303,47 @@ class TestConv:
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1, groups=2).data
         want = conv2d_naive(x, w, b, stride=2, padding=1, groups=2)
         np.testing.assert_allclose(got, want, atol=1e-6)
+
+    # (groups, out_channels) on C = 4 input channels: dense, two groups, one
+    # input channel per group, and depthwise
+    GROUPINGS = [(1, 8), (2, 8), (4, 8), (4, 4)]
+
+    def _grads(self, x, w, b, stride, padding, groups, gate=None):
+        # float64 gradients of Σ y·g; with a gate the conv reads base·gate,
+        # whose recipe it keeps, and the base gradient is gx·gate
+        rng = np.random.default_rng(91)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        xin = xt if gate is None else xt * Tensor(gate)
+        assert (xin._node is not None and xin._node[3] is not None) == (gate is not None)
+        y = conv2d(xin, wt, bt, stride=stride, padding=padding, groups=groups)
+        g = rng.standard_normal(y.shape)
+        backward(sum_(y * Tensor(g)))
+        return g, (xt.grad, wt.grad, bt.grad)
+
+    @pytest.mark.parametrize("groups, out_c", GROUPINGS, ids=[f"g{g}-o{o}" for g, o in GROUPINGS])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_grad_against_oracle(self, stride, padding, kernel, groups, out_c):
+        # odd, non-square 7×5 planes: every phase split has ragged edges
+        rng = np.random.default_rng(100 + 9 * stride + 3 * padding + kernel)
+        x, w, b = rng.standard_normal((2, 4, 7, 5)), rng.standard_normal((out_c, 4 // groups, kernel, kernel)), rng.standard_normal(out_c)
+        g, got = self._grads(x, w, b, stride, padding, groups)
+        for have, want in zip(got, conv2d_grad_naive(x, w, g, stride=stride, padding=padding, groups=groups)):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("groups, out_c", GROUPINGS, ids=[f"g{g}-o{o}" for g, o in GROUPINGS])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_grad_with_recipe_input_against_oracle(self, stride, kernel, groups, out_c):
+        # the rule rebuilds its input from the gate's recipe, a block at a time
+        rng = np.random.default_rng(200 + 9 * stride + kernel)
+        base, w, b = rng.standard_normal((3, 4, 6, 7)), rng.standard_normal((out_c, 4 // groups, kernel, kernel)), rng.standard_normal(out_c)
+        gate = rng.uniform(0.5, 1.5, (3, 4, 1, 1))
+        g, (gbase, gw, gb) = self._grads(base, w, b, stride, 1, groups, gate)
+        want_gx, want_gw, want_gb = conv2d_grad_naive(base * gate, w, g, stride=stride, padding=1, groups=groups)
+        for have, want in ((gbase, want_gx * gate), (gw, want_gw), (gb, want_gb)):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
 
     def test_group_mismatch_raises(self):
         with pytest.raises(ShapeError):
