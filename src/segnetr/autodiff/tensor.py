@@ -5,8 +5,9 @@ input records ``[seq, parents, rule, recipe]`` on its output, ``seq``
 counting ops in execution order; ``backward`` runs the rules reachable from
 the loss in descending ``seq``.  ``parents`` are the inputs' records, or
 tracked leaves, so an output no rule keeps dies when the caller drops it; a
-``recipe`` rebuilds the output for ``conv2d`` (see ``mul``).  Scalars are
-float32 by default; the gradient checker builds float64 graphs the same way.
+``recipe`` rebuilds the output for the ops that read it (see ``mul``).
+Scalars are float32 by default; the gradient checker builds float64 graphs
+the same way.
 
 A graph lives only as long as its outputs, and ``backward`` empties each
 record, freeing its saved arrays, once its rule has run.  ``no_grad()``

@@ -91,6 +91,37 @@ class TestMBConv:
             assert [a.shape for a in closure_arrays(conv_rule) if a.size >= size and id(_root(a)) not in kept] == []
         assert y._node
 
+    def test_norms_keep_the_expand_recipe_not_its_output(self, monkeypatch):
+        # the expand and project outputs e and p are 1×1 conv outputs; their
+        # training norms keep the convs' recipes, so after a train-mode
+        # forward neither array is alive, and the expand norm's rule, which
+        # rebuilds e from the block input, reaches no array of e's size
+        outputs, rules, real_conv = [], [], F.conv2d
+
+        def conv(x, *args, **kwargs):
+            out = real_conv(x, *args, **kwargs)
+            outputs.append((weakref.ref(out.data), out._node[3]))
+            return out
+
+        def norm(real):
+            def recording(*args, **kwargs):
+                out = real(*args, **kwargs)
+                rules.append(out._node[2])
+                return out
+            return recording
+
+        monkeypatch.setattr(F, "conv2d", conv)
+        monkeypatch.setattr(F, "batch_norm_silu", norm(F.batch_norm_silu))
+        monkeypatch.setattr(F, "batch_norm", norm(F.batch_norm))
+        block = MBConv(4, rng=rng_(8)).train()
+        y = block(Tensor(rng_(9).standard_normal((2, 4, 8, 8)).astype(np.float32), requires_grad=True))
+        assert len(outputs) == 5 and len(rules) == 3  # expand, depthwise and project norms
+        (e_ref, e_recipe), (p_ref, p_recipe) = outputs[0], outputs[4]
+        assert e_recipe is not None and p_recipe is not None
+        assert e_ref() is None and p_ref() is None
+        assert [a.shape for a in closure_arrays(rules[0]) if a.size >= 2 * 16 * 8 * 8] == []
+        assert y._node
+
     def test_gradcheck_full_block(self):
         # N=1 requires eval-mode statistics (training would be degenerate).
         block = MBConv(4, rng=rng_(4), dtype=np.float64).eval()

@@ -399,6 +399,13 @@ def _op_inventory(rng):
         # convs whose rules rebuild their input from the producer's recipe
         ("batch_norm_silu → conv2d depthwise", GENERAL, lambda x, g, b, w: conv2d(batch_norm_silu(x, g, b, rm.copy(), rv.copy()), w, padding=1, groups=4), [t(3, 4, 4, 5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
         ("mul gate → conv2d 1x1", AFFINE, lambda h, gate, w: conv2d(h * gate, w), [t(2, 4, 3, 5), t(2, 4, 1, 1), t(3, 4, 1, 1, scale=0.5)]),
+        # norms that keep a 1×1 conv's recipe, and a conv that rebuilds its
+        # input from a norm's recipe that does
+        ("conv2d 1x1 → batch_norm_silu → conv2d depthwise", GENERAL,
+         lambda x, w, g, b, dw: conv2d(batch_norm_silu(conv2d(x, w), g, b, rm.copy(), rv.copy()), dw, padding=1, groups=4),
+         [t(3, 2, 4, 5), t(4, 2, 1, 1, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
+        ("conv2d 1x1 → batch_norm", GENERAL, lambda x, w, g, b: batch_norm(conv2d(x, w), g, b, rm.copy(), rv.copy(), True),
+         [t(3, 2, 4, 4), t(4, 2, 1, 1, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
     ]
 
 

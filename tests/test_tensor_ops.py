@@ -435,9 +435,9 @@ TOY_MBCONV_SHAPES = [(4, 64, 56, 56), (4, 128, 28, 28), (4, 256, 14, 14), (4, 51
 
 @pytest.mark.parametrize("shape", TOY_MBCONV_SHAPES, ids=str)
 def test_recipes_rebuild_their_outputs_bitwise(shape):
-    # a conv rule that keeps a recipe sees the very bits the forward made,
-    # whole (the 1×1 rule) or a block of planes at a time copied into the
-    # interior of zero-padded planes (the depthwise rule)
+    # a conv or norm rule that keeps a recipe sees the very bits the forward
+    # made, whole (the 1×1 and norm rules) or a block of planes at a time
+    # copied into the interior of zero-padded planes (the depthwise rule)
     rng = np.random.default_rng(19)
     n, c, h, w = shape
     e = Tensor((rng.standard_normal(shape) * 3.0 + 0.5).astype(np.float32), requires_grad=True)
@@ -452,6 +452,20 @@ def test_recipes_rebuild_their_outputs_bitwise(shape):
         for b in _row_blocks(n * c, padded[0].nbytes * 5):
             padded[b, 1:-1, 1:-1] = recipe(b)
         assert np.ascontiguousarray(padded[:, 1:-1, 1:-1]).tobytes() == y.data.tobytes()
+    # a 1×1 conv's recipe rebuilds whole images, with and without bias, from
+    # an array (the expand conv) or a recipe (the project conv reading
+    # s1·gate), and so does a norm's recipe that keeps one: whole, or image
+    # 0 and then images 1 to n−1
+    x = Tensor(rng.standard_normal((n, c // 4, h, w)).astype(np.float32), requires_grad=True)
+    wide, narrow = (Tensor((rng.standard_normal(s) * 0.5).astype(np.float32), requires_grad=True)
+                    for s in ((c, c // 4, 1, 1), (c // 4, c, 1, 1)))
+    bias, pbias = (Tensor(rng.standard_normal(k).astype(np.float32), requires_grad=True) for k in (c, c // 4))
+    convs = [conv2d(x, wide), conv2d(x, wide, bias), conv2d(s1 * gate, narrow), conv2d(s1 * gate, narrow, pbias)]
+    chained = batch_norm_silu(convs[0], gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32))
+    for y in convs + [chained]:
+        recipe, k = y._node[3], y.shape[1]
+        assert recipe(slice(None)).tobytes() == y.data.tobytes()
+        assert np.concatenate([recipe(slice(0, k)), recipe(slice(k, n * k))]).tobytes() == y.data.tobytes()
 
 
 class TestBatchNormSilu:
