@@ -48,8 +48,8 @@ PARALLEL_MIN_COORDS = 128
 MAX_CHUNKS = 1024
 
 
-def _rel_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
+def _rel_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
 
 
 def worker_count() -> int:
@@ -66,7 +66,8 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheck
     """Compare analytic gradients of ``fn(*inputs)`` against central
     differences of step ``STEP``, at every coordinate of every input.
 
-    Relative error uses a max(|a|, |b|, 1e-8) denominator.  A check of at
+    Relative error uses a max(|a|, |b|, 1e-8) denominator; a NaN error at
+    any coordinate makes the result NaN, which no ``ok`` passes.  A check of at
     least ``PARALLEL_MIN_COORDS`` coordinates shares them among
     ``worker_count()`` processes; the result is bit-identical to the
     in-process loop, and an exception ``fn`` raises at a coordinate reaches
@@ -121,15 +122,12 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> GradCheck
         if not t.requires_grad:
             per_input.append(0.0)
             continue
-        if ana is None:
-            ana = np.zeros_like(t.data)
-        worst = 0.0
-        ana_flat = ana.reshape(-1)
-        for i in range(t.size):
-            worst = max(worst, _rel_error(float(ana_flat[i]), float(numeric[j])))
-            j += 1
-        per_input.append(worst)
-    return GradCheckResult(max(per_input, default=0.0), per_input)
+        a = np.zeros(t.size) if ana is None else ana.reshape(-1).astype(np.float64)
+        b = numeric[j:j + t.size]
+        j += t.size
+        # NumPy's max keeps a NaN, where Python's max(0.0, nan) drops it
+        per_input.append(float(_rel_error(a, b).max(initial=0.0)))
+    return GradCheckResult(float(np.max(per_input, initial=0.0)), per_input)
 
 
 def _central_differences(central: Callable[[int], float], n: int) -> np.ndarray:

@@ -12,6 +12,7 @@ seed fixes the whole model.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -204,7 +205,7 @@ class InteractionBranch(Module):
             ws = global_partition(pooled, self.p, pad=True)
         attn = self.attention(ws)
         gate = reshape(attn, ws.windows.shape) * float(self.window * self.window)
-        out_stack = WindowStack(gate, ws.grid, ws.displaced, ws.spec, ws.pad_before, ws.orig_hw)
+        out_stack = replace(ws, windows=gate)
         return global_reverse(out_stack) if ws.displaced else local_reverse(out_stack)
 
 

@@ -5,8 +5,11 @@ behind an explicit flag): no arithmetic ever touches a value, so round trips
 are bitwise identities.  Tensors are laid out with the last three axes as
 (H, W, C); any leading axes (batch) ride along untouched.
 
-Gradients flow through all ops because each one is built from the recorded
-primitives (reshape / transpose / pad / slice / index take).
+Each window transform (partition, reverse, displacement) is one recorded
+pick by a cached index map: every output pixel names the input pixel it
+copies, or a padding zero.  The gradient is picked back by the inverse map,
+and every reverse runs its partition's map the other way round, so the
+window geometry is written once, in ``_index_map``.
 """
 
 from __future__ import annotations
@@ -60,16 +63,8 @@ class WindowGrid:
             raise LayoutError(f"window size {self.p} does not divide ({self.h}, {self.w})")
 
     @property
-    def rows(self) -> int:
-        return self.h // self.p
-
-    @property
-    def cols(self) -> int:
-        return self.w // self.p
-
-    @property
     def num_windows(self) -> int:
-        return self.rows * self.cols
+        return (self.h // self.p) * (self.w // self.p)
 
 
 @dataclass(frozen=True)
@@ -93,31 +88,41 @@ class DisplacementSpec:
 class WindowStack:
     """Partitioned windows: Tensor shaped (..., num_windows, P, P, C).
 
-    ``grid`` describes the padded image that was actually partitioned;
-    ``pad_before``/``orig_hw`` record how to crop back to the source extents.
-    Displaced stacks remember their DisplacementSpec so only global_reverse
-    can undo them.
+    ``grid`` describes the padded image that was actually partitioned and
+    ``orig_hw`` the source extents, which ``pad_to_multiple``'s rule pads to
+    ``grid``'s.  A displaced stack (global windows, P = 2× the displacement
+    granularity) can only be undone by global_reverse.
     """
 
     windows: Tensor
     grid: WindowGrid
     displaced: bool = False
-    spec: Optional[DisplacementSpec] = None
-    pad_before: tuple[int, int] = (0, 0)
     orig_hw: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        if self.orig_hw is None:
-            self.orig_hw = (self.grid.h, self.grid.w)
         g = self.grid
+        if self.orig_hw is None:
+            self.orig_hw = (g.h, g.w)
         expect = (g.num_windows, g.p, g.p, g.c)
         if tuple(self.windows.shape[-4:]) != expect:
             raise LayoutError(
                 f"window stack shape {self.windows.shape} does not end in {expect}"
             )
+        h, w = self.orig_hw
+        if g.h != h + (-h) % g.p or g.w != w + (-w) % g.p or (self.displaced and g.p % 2):
+            raise LayoutError(f"grid {g} is not how source extents {self.orig_hw} are windowed")
 
 
 # -- padding helpers ---------------------------------------------------------
+
+
+def _centred_pad(n: int, mult: int) -> tuple[int, int]:
+    """Zeros (before, after) that pad extent ``n`` to a multiple of ``mult``:
+    centred, the odd one after."""
+    if mult <= 0:
+        raise LayoutError(f"window size must be positive, got {mult}")
+    extra = (-n) % mult
+    return extra // 2, extra - extra // 2
 
 
 def pad_to_multiple(x: Tensor, mult: int) -> tuple[Tensor, tuple[int, int], tuple[int, int]]:
@@ -126,12 +131,10 @@ def pad_to_multiple(x: Tensor, mult: int) -> tuple[Tensor, tuple[int, int], tupl
     Returns (padded tensor, (top, left) offsets, original (H, W)).
     """
     h, w, _ = _hwc(x)
-    ph = (-h) % mult
-    pw = (-w) % mult
-    if ph == 0 and pw == 0:
+    (top, bottom), (left, right) = _centred_pad(h, mult), _centred_pad(w, mult)
+    if bottom == 0 and right == 0:
         return x, (0, 0), (h, w)
-    top, left = ph // 2, pw // 2
-    spec = [(0, 0)] * (x.ndim - 3) + [(top, ph - top), (left, pw - left), (0, 0)]
+    spec = [(0, 0)] * (x.ndim - 3) + [(top, bottom), (left, right), (0, 0)]
     return t_pad(x, spec), (top, left), (h, w)
 
 
@@ -141,107 +144,108 @@ def crop_hw(x: Tensor, top: int, left: int, h: int, w: int) -> Tensor:
     return slice_(x, (Ellipsis, slice(top, top + h), slice(left, left + w), slice(None)))
 
 
-# -- local partition / reverse -----------------------------------------------
+# -- window transforms: one pick by an index map each ------------------------
 
 
-def _partition_grid(x: Tensor, p: int, pad: bool) -> tuple[Tensor, tuple[int, int], tuple[int, int]]:
-    h, w, _ = _hwc(x)
+def _pixel_perm(h: int, w: int, p: int) -> np.ndarray:
+    """Flat pixel permutation for displace: out.flat[perm[q]] = in.flat[q].
+
+    Each pixel moves with its P×P patch by the two-pass rule of
+    ``DisplacementSpec`` and keeps its offset inside the patch.
+    """
     if h % p or w % p:
-        if not pad:
-            raise LayoutError(f"window size {p} does not divide extents ({h}, {w}); pass pad=True")
-        return pad_to_multiple(x, p)
-    return x, (0, 0), (h, w)
+        raise LayoutError(f"displacement granularity {p} does not divide ({h}, {w})")
+    y, x = np.arange(h)[:, None], np.arange(w)[None, :]
+    r, c = y // p, x // p
+    c1 = (c + np.where(r % 2 == 1, -1, 1)) % (w // p)
+    r1 = (r + np.where(c1 % 2 == 1, -1, 1)) % (h // p)
+    return ((r1 * p + y % p) * w + c1 * p + x % p).ravel()
+
+
+# room for the 270 maps of one layout_suite and gradient_suite pass, so a
+# repeated pass builds none; int32 maps keep the cache half as large
+@lru_cache(maxsize=512)
+def _index_map(h: int, w: int, window: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (src, inv) over flat pixels for an h×w image displaced at
+    granularity ``shift`` (0: not displaced), then padded as
+    ``pad_to_multiple`` pads it and cut into window×window windows, row-major
+    (``window`` 0: left whole).  Output pixel k copies input pixel src[k], or
+    is a padding zero where src[k] is −1; input pixel q lands at inv[q]."""
+    src = np.arange(h * w)
+    if shift:
+        src[_pixel_perm(h, w, shift)] = np.arange(h * w)
+    if window:
+        (top, bottom), (left, right) = _centred_pad(h, window), _centred_pad(w, window)
+        ys = np.arange(-top, h + bottom)[:, None]
+        xs = np.arange(-left, w + right)[None, :]
+        pix = np.where((ys >= 0) & (ys < h) & (xs >= 0) & (xs < w), ys * w + xs, -1)
+        pix = pix.reshape(len(ys) // window, window, -1, window).transpose(0, 2, 1, 3).ravel()
+        src = np.where(pix >= 0, src[pix], -1)
+    kept = np.flatnonzero(src >= 0)
+    inv = np.empty(h * w, dtype=np.int32)
+    inv[src[kept]] = kept
+    src = src.astype(np.int32)
+    src.flags.writeable = inv.flags.writeable = False
+    return src, inv
+
+
+def _pick(x: Tensor, n_lead: int, idx: np.ndarray, back: np.ndarray, tail: tuple) -> Tensor:
+    """One recorded node: output pixel k copies input pixel idx[k] (a zero
+    where it is −1), shaped lead + ``tail``; the rule picks the gradient
+    back by ``back``."""
+    lead, in_tail = x.shape[:n_lead], x.shape[n_lead:]
+
+    def gather(a, idx, tail):
+        rows = a.reshape(lead + (-1, a.shape[-1]))
+        out = np.take(rows, idx, axis=-2)
+        if idx.size > rows.shape[-2]:  # a map only pads when it has more outputs than inputs
+            out[..., idx < 0, :] = 0
+        return out.reshape(lead + tail)
+
+    return _make_output(gather(x.data, idx, tail), (x,), lambda g: (gather(g, back, in_tail),))
+
+
+def _partition(x: Tensor, window: int, shift: int, pad: bool) -> WindowStack:
+    h, w, c = _hwc(x)
+    if window <= 0:
+        raise LayoutError(f"window size must be positive, got {window}")
+    src, inv = _index_map(h, w, window, shift)  # first, so a bad displacement is what is named
+    if (h % window or w % window) and not pad:
+        raise LayoutError(f"window size {window} does not divide extents ({h}, {w}); pass pad=True")
+    grid = WindowGrid(h + (-h) % window, w + (-w) % window, c, window)
+    windows = _pick(x, x.ndim - 3, src, inv, (grid.num_windows, window, window, c))
+    return WindowStack(windows, grid, displaced=shift > 0, orig_hw=(h, w))
+
+
+def _reverse(ws: WindowStack, shift: int) -> Tensor:
+    src, inv = _index_map(*ws.orig_hw, ws.grid.p, shift)
+    return _pick(ws.windows, ws.windows.ndim - 4, inv, src, ws.orig_hw + (ws.grid.c,))
 
 
 def local_partition(x: Tensor, p: int, pad: bool = False) -> WindowStack:
     """Split (..., H, W, C) into contiguous P×P windows, row-major."""
-    xp, before, orig = _partition_grid(x, p, pad)
-    h, w, c = _hwc(xp)
-    grid = WindowGrid(h, w, c, p)
-    lead = xp.shape[:-3]
-    nl = len(lead)
-    x5 = reshape(xp, lead + (grid.rows, p, grid.cols, p, c))
-    xt = transpose(x5, tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4))
-    win = reshape(xt, lead + (grid.num_windows, p, p, c))
-    return WindowStack(win, grid, displaced=False, pad_before=before, orig_hw=orig)
-
-
-def _reverse_windows(ws: WindowStack) -> Tensor:
-    g = ws.grid
-    lead = ws.windows.shape[:-4]
-    nl = len(lead)
-    x5 = reshape(ws.windows, lead + (g.rows, g.cols, g.p, g.p, g.c))
-    xt = transpose(x5, tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4))
-    full = reshape(xt, lead + (g.h, g.w, g.c))
-    top, left = ws.pad_before
-    h0, w0 = ws.orig_hw
-    return crop_hw(full, top, left, h0, w0)
+    return _partition(x, p, 0, pad)
 
 
 def local_reverse(ws: WindowStack) -> Tensor:
     """Exact inverse of local_partition."""
     if ws.displaced:
         raise ContractError("local_reverse received a displaced stack; use global_reverse")
-    return _reverse_windows(ws)
-
-
-# -- displacement ------------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _pixel_perm(h: int, w: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat pixel permutation for displace: out.flat[q] = in.flat[perm[q]].
-
-    Built by brute-force application of the two-pass rule on the patch grid,
-    then expanded to pixel granularity.  Returns (perm, inverse perm).
-    """
-    rows, cols = h // p, w // p
-    r = np.arange(rows)[:, None]
-    c = np.arange(cols)[None, :]
-    c1 = (c + np.where(r % 2 == 1, -1, 1)) % cols
-    r1 = (r + np.where(c1 % 2 == 1, -1, 1)) % rows
-    rr, cc = np.broadcast_arrays(r, c)
-    src_r = np.empty((rows, cols), dtype=np.int64)
-    src_c = np.empty((rows, cols), dtype=np.int64)
-    src_r[r1, c1] = rr
-    src_c[r1, c1] = cc
-    pix_r = np.repeat(np.repeat(src_r, p, axis=0), p, axis=1) * p + (np.arange(h) % p)[:, None]
-    pix_c = np.repeat(np.repeat(src_c, p, axis=0), p, axis=1) * p + (np.arange(w) % p)[None, :]
-    perm = (pix_r * w + pix_c).ravel()
-    inv = np.argsort(perm)
-    return perm, inv
-
-
-def _take_rows(x: Tensor, idx: np.ndarray, inv: np.ndarray) -> Tensor:
-    """Permute along axis -2; backward applies the inverse permutation."""
-    data = np.take(x.data, idx, axis=-2)
-    return _make_output(data, (x,), lambda g: (np.take(g, inv, axis=-2),))
-
-
-def _apply_displacement(x: Tensor, spec: DisplacementSpec, inverse: bool) -> Tensor:
-    h, w, c = _hwc(x)
-    if h % spec.p or w % spec.p:
-        raise LayoutError(f"displacement granularity {spec.p} does not divide ({h}, {w})")
-    perm, inv = _pixel_perm(h, w, spec.p)
-    if inverse:
-        perm, inv = inv, perm
-    lead = x.shape[:-3]
-    flat = reshape(x, lead + (h * w, c))
-    moved = _take_rows(flat, perm, inv)
-    return reshape(moved, lead + (h, w, c))
+    return _reverse(ws, 0)
 
 
 def displace(x: Tensor, spec: DisplacementSpec) -> Tensor:
     """Permute P×P patches as ``spec`` directs; values are copied, never computed."""
-    return _apply_displacement(x, spec, inverse=False)
+    h, w, c = _hwc(x)
+    src, inv = _index_map(h, w, 0, spec.p)
+    return _pick(x, x.ndim - 3, src, inv, (h, w, c))
 
 
 def undisplace(x: Tensor, spec: DisplacementSpec) -> Tensor:
     """Exact inverse of displace with the same spec."""
-    return _apply_displacement(x, spec, inverse=True)
-
-
-# -- global partition / reverse ----------------------------------------------
+    h, w, c = _hwc(x)
+    src, inv = _index_map(h, w, 0, spec.p)
+    return _pick(x, x.ndim - 3, inv, src, (h, w, c))
 
 
 def global_partition(x: Tensor, p: int, pad: bool = False) -> WindowStack:
@@ -251,22 +255,14 @@ def global_partition(x: Tensor, p: int, pad: bool = False) -> WindowStack:
     padding, when enabled, only squares the displaced result up to a 2P
     multiple for the partition.
     """
-    spec = DisplacementSpec(p)
-    moved = displace(x, spec)
-    xp, before, orig = _partition_grid(moved, 2 * p, pad)
-    h, w, c = _hwc(xp)
-    grid = WindowGrid(h, w, c, 2 * p)
-    ws = local_partition(xp, 2 * p)
-    return WindowStack(
-        ws.windows, grid, displaced=True, spec=spec, pad_before=before, orig_hw=orig
-    )
+    return _partition(x, 2 * p, p, pad)
 
 
 def global_reverse(ws: WindowStack) -> Tensor:
     """Exact inverse of global_partition: un-window, crop, un-displace."""
-    if not ws.displaced or ws.spec is None:
+    if not ws.displaced:
         raise ContractError("global_reverse received a non-displaced stack; use local_reverse")
-    return undisplace(_reverse_windows(ws), ws.spec)
+    return _reverse(ws, ws.grid.p // 2)
 
 
 # -- patch merge / reverse / channel selection --------------------------------

@@ -563,6 +563,23 @@ class TestWorkerSplit:
                 break
         assert took_3
 
+    @pytest.mark.parametrize("split", [False, True], ids=["in process", "split"])
+    def test_nan_gradient_fails_the_check(self, monkeypatch, two_cores, forks, split):
+        # Python's max(0.0, nan) is 0.0, so a worst error taken by it passes
+        # a rule that returns NaN everywhere
+        if not split:
+            monkeypatch.setattr(gradcheck, "PARALLEL_MIN_COORDS", 10**9)
+
+        def fn(x):
+            doubled = _make_output(x.data * 2.0, (x,), lambda g: (np.full_like(g, np.nan),))
+            return _square_sum(doubled)
+
+        res = grad_check(fn, [t64(np.ones(256))])
+        assert bool(forks) == split
+        assert np.isnan(res.max_rel_error) and np.isnan(res.per_input[0])
+        assert not res.ok(segnetr.verify.GENERAL_TOL)
+        self.assert_no_child_left()
+
     def test_worker_that_dies_raises_naming_its_exit_status(self, two_cores, worker_began):
         parent = os.getpid()
         began, wait = worker_began

@@ -1,5 +1,7 @@
 """Index-law and round-trip tests for the layout transforms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from segnetr.layout import (
     undisplace,
 )
 
+from .conftest import graph_nodes
 from .oracles import (
     displace_map_naive,
     displace_naive,
@@ -248,12 +251,68 @@ class TestStackAndGridContracts:
         with pytest.raises(LayoutError):
             WindowStack(Tensor(np.zeros((4, 3, 3, 1))), grid)
 
+    def test_stack_grid_must_window_its_source_extents(self):
+        # a reverse reads its geometry from orig_hw and grid.p, so a grid
+        # that padding orig_hw would not give, or a displaced stack whose
+        # window is not twice a displacement granularity, is refused
+        with pytest.raises(LayoutError):
+            WindowStack(Tensor(np.zeros((4, 2, 2, 1))), WindowGrid(4, 4, 1, 2), orig_hw=(2, 2))
+        with pytest.raises(LayoutError):
+            WindowStack(Tensor(np.zeros((4, 1, 1, 1))), WindowGrid(2, 2, 1, 1), displaced=True)
+        assert WindowStack(Tensor(np.zeros((4, 2, 2, 1))), WindowGrid(4, 4, 1, 2), orig_hw=(3, 4)).orig_hw == (3, 4)
+
+    @pytest.mark.parametrize("op", [local_partition, global_partition, pad_to_multiple])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_non_positive_window_size_rejected(self, op, size):
+        with pytest.raises(LayoutError, match="must be positive"):
+            op(rand((4, 4, 1)), size)
+
     def test_pad_to_multiple_and_crop(self):
         x = rand((5, 6, 2), seed=18)
         padded, before, orig = pad_to_multiple(x, 4)
         assert padded.shape == (8, 8, 2) and orig == (5, 6)
         back = crop_hw(padded, before[0], before[1], 5, 6)
         np.testing.assert_array_equal(back.data, x.data)
+
+
+# unpadded and padded windows of each kind, and the toy model's 7×7 stage at
+# P=1, whose global windows pad an odd, cyclically wrapped patch grid
+WINDOW_CASES = [
+    (local_partition, local_reverse, (2, 8, 8, 3), 2),
+    (local_partition, local_reverse, (2, 5, 6, 3), 4),
+    (local_partition, local_reverse, (2, 7, 7, 1), 1),
+    (global_partition, global_reverse, (2, 8, 8, 3), 2),
+    (global_partition, global_reverse, (2, 6, 6, 3), 2),
+    (global_partition, global_reverse, (2, 7, 7, 1), 1),
+]
+
+
+class TestAdjoints:
+    """Each window transform is one recorded node, and its rule takes an
+    upstream gradient g to the matching reverse transform of g, bit for bit."""
+
+    @staticmethod
+    def assert_rule_gives(out, g, want):
+        (record,) = graph_nodes(out)
+        (grad,) = record[2](g)
+        assert grad.shape == want.shape and grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("partition,reverse,shape,p", WINDOW_CASES)
+    def test_partition_and_reverse(self, partition, reverse, shape, p):
+        ws = partition(Tensor(rand(shape).data, requires_grad=True), p, pad=True)
+        g = rand(ws.windows.shape, seed=1).data
+        self.assert_rule_gives(ws.windows, g, reverse(replace(ws, windows=Tensor(g))).data)
+        back = reverse(replace(ws, windows=Tensor(ws.windows.data, requires_grad=True)))
+        g = rand(shape, seed=2).data
+        self.assert_rule_gives(back, g, partition(Tensor(g), p, pad=True).windows.data)
+
+    @pytest.mark.parametrize("shape,p", [((2, 8, 8, 3), 2), ((2, 7, 7, 1), 1)])
+    def test_displace(self, shape, p):
+        spec = DisplacementSpec(p)
+        g = rand(shape, seed=3).data
+        x = Tensor(rand(shape).data, requires_grad=True)
+        self.assert_rule_gives(displace(x, spec), g, undisplace(Tensor(g), spec).data)
+        self.assert_rule_gives(undisplace(x, spec), g, displace(Tensor(g), spec).data)
 
 
 class TestZeroArithmetic:
