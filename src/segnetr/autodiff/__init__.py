@@ -11,8 +11,6 @@ from .functional import (
     global_avg_pool,
     layer_norm,
     linear,
-    log_softmax,
-    relu,
     sigmoid,
     silu,
     softmax,
@@ -23,16 +21,11 @@ from .tensor import (
     Tensor,
     backward,
     concat,
-    exp,
-    log,
-    matmul,
     mean,
-    neg,
     no_grad,
     pad,
     reshape,
     slice_,
-    sqrt,
     sum_,
     transpose,
 )
@@ -52,26 +45,19 @@ __all__ = [
     "concat",
     "conv2d",
     "cross_entropy",
-    "exp",
     "gelu",
     "global_avg_pool",
     "grad_check",
     "layer_norm",
     "linear",
-    "log",
-    "log_softmax",
-    "matmul",
     "mean",
-    "neg",
     "no_grad",
     "pad",
-    "relu",
     "reshape",
     "sigmoid",
     "silu",
     "slice_",
     "softmax",
-    "sqrt",
     "sum_",
     "transpose",
 ]

@@ -1,8 +1,8 @@
 """Differentiable neural-network operations on :class:`Tensor`.
 
-Every op here but ``log_softmax`` and ``global_avg_pool`` is one recorded
-node with a hand-written backward rule; those two are composed from the
-primitive ops in ``tensor.py`` and inherit their gradients.
+Every op here but ``global_avg_pool`` is one recorded node with a
+hand-written backward rule; ``global_avg_pool`` is a ``mean`` and inherits
+its gradient.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
-from .tensor import Tensor, _make_output, exp, log, mean, sum_
+from .tensor import Tensor, _make_output, mean
 
 __all__ = [
-    "relu",
     "sigmoid",
     "silu",
     "gelu",
@@ -28,18 +27,12 @@ __all__ = [
     "batch_norm",
     "batch_norm_silu",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "global_avg_pool",
 ]
 
 
 # -- activations -------------------------------------------------------------
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _make_output(np.where(mask, x.data, 0), (x,), lambda g: (g * mask,))
 
 
 def _sigmoid_stable(v: np.ndarray) -> np.ndarray:
@@ -558,11 +551,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (d,)
 
     return _make_output(y, (x,), bw)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - log(sum_(exp(shifted), axis=axis, keepdims=True))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

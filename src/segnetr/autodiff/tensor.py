@@ -132,18 +132,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_constant_like(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -309,36 +297,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make_output(data, (a, b), bw, planes if per_plane else None)
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _constant_like(b, a)
-    ad, bd = a.data, b.data
-    data = ad / bd
-
-    def bw(g):
-        return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
-
-    return _make_output(data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make_output(-a.data, (a,), lambda g: (-g,))
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _make_output(y, (a,), lambda g: (g * y,))
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    return _make_output(np.log(ad), (a,), lambda g: (g / ad,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    y = np.sqrt(a.data)
-    return _make_output(y, (a,), lambda g: (g * (0.5 / y),))
-
-
 # -- structural ops ----------------------------------------------------------
 
 
@@ -458,16 +416,3 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     return _make_output(data, (a,), bw)
 
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul supports 2-D operands only")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    data = ad @ bd
-
-    def bw(g):
-        return g @ bd.T, ad.T @ g
-
-    return _make_output(data, (a, b), bw)

@@ -7,13 +7,16 @@ P ∈ {1, 2, 4, 8}, value-multiset preservation, and displacement non-vacuity
 un-displaced 2P-aligned blocks whenever the grid has at least 2×2 such
 blocks).
 
-``gradient_suite`` runs 64-bit central finite differences against recorded
-gradients for every differentiable op and a full SegNetr block; affine ops
-are held to 1e-6, everything else to 1e-3.
+``op_cases`` is the one list of op gradient cases: a small random case per
+differentiable op and per conv and norm configuration.  ``gradient_suite``
+runs 64-bit central finite differences against recorded gradients for each
+of them, then for window attention, a layout chain, the IRSC fuse and a
+full SegNetr block; affine ops are held to 1e-6, everything else to 1e-3.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,17 +27,14 @@ from .autodiff.gradcheck import grad_check
 from .autodiff.tensor import (
     Tensor,
     concat,
-    exp,
-    log,
     mean,
     pad,
     reshape,
     slice_,
-    sqrt,
     sum_,
     transpose,
 )
-from .blocks import SegnetrBlock, WindowAttention, irsc_fuse
+from .blocks import BatchNorm2d, Conv2d, SegnetrBlock, WindowAttention, conv_norm, irsc_fuse
 from .layout import (
     DisplacementSpec,
     alternate_select,
@@ -132,124 +132,130 @@ def _t(rng: np.random.Generator, *shape: int, scale: float = 1.0, shift: float =
     return Tensor(rng.standard_normal(shape) * scale + shift, requires_grad=True, dtype=np.float64)
 
 
-def gradient_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, float, Callable[[], tuple]]] = []
+def _conv(**kw) -> Callable[..., Tensor]:
+    return lambda x, w, b=None: F.conv2d(x, w, b, **kw)
 
-    def case(name, tol, fn, *inputs):
-        checks.append((name, tol, lambda: (fn, inputs)))
 
-    a, b = _t(rng, 3, 4), _t(rng, 3, 4)
-    row = _t(rng, 4)
-    case("add broadcast", AFFINE_TOL, lambda x, y: x + y, a, row)
-    case("sub", AFFINE_TOL, lambda x, y: x - y, a, b)
-    case("mul", GENERAL_TOL, lambda x, y: x * y, a, b)
-    case("div", GENERAL_TOL, lambda x, y: x / y, a, _t(rng, 3, 4, shift=4.0))
-    case("neg", AFFINE_TOL, lambda x: -x, a)
-    case("exp", GENERAL_TOL, exp, _t(rng, 3, 3, scale=0.5))
-    case("log", GENERAL_TOL, log, _t(rng, 3, 3, shift=3.0))
-    case("sqrt", GENERAL_TOL, sqrt, _t(rng, 3, 3, shift=3.0))
-    case("relu", GENERAL_TOL, F.relu, _t(rng, 4, 4, shift=0.3))
-    case("sigmoid", GENERAL_TOL, F.sigmoid, _t(rng, 4, 4))
-    case("silu", GENERAL_TOL, F.silu, _t(rng, 4, 4))
-    case("gelu", GENERAL_TOL, F.gelu, _t(rng, 4, 4))
-    case("matmul", AFFINE_TOL, lambda x, y: x @ y, _t(rng, 3, 5), _t(rng, 5, 2))
-    case("linear", AFFINE_TOL, lambda x, w, c: F.linear(x, w, c), _t(rng, 4, 6), _t(rng, 3, 6), _t(rng, 3))
-    case("reshape", AFFINE_TOL, lambda x: reshape(x, (2, 8)), _t(rng, 4, 4))
-    case("transpose", AFFINE_TOL, lambda x: transpose(x, (1, 0, 2)), _t(rng, 2, 3, 4))
-    case("concat", AFFINE_TOL, lambda x, y: concat([x, y], axis=1), a, b)
-    case("slice", AFFINE_TOL, lambda x: slice_(x, (slice(1, 3), slice(0, 2))), _t(rng, 4, 4))
-    case("pad", AFFINE_TOL, lambda x: pad(x, ((1, 1), (0, 2))), _t(rng, 3, 3))
-    case("sum", AFFINE_TOL, lambda x: sum_(x, axis=1), _t(rng, 3, 5))
-    case("mean keepdims", AFFINE_TOL, lambda x: mean(x, axis=(1, 2), keepdims=True), _t(rng, 2, 3, 4))
-    case("softmax", GENERAL_TOL, lambda x: F.softmax(x, axis=-1), _t(rng, 4, 6))
-    case("log_softmax", GENERAL_TOL, lambda x: F.log_softmax(x, axis=1), _t(rng, 3, 5))
+def _conv_norm_eval(running_mean: np.ndarray, running_var: np.ndarray) -> Callable[..., Tensor]:
+    """``(x, W, γ, β) ↦ conv_norm(x, conv, norm)`` for a 3×3 padded conv and
+    an eval-mode norm holding the given running statistics; the modules are
+    built once and take the checked tensors on every call."""
+    conv = Conv2d(3, 4, 3, padding=1, bias=False, rng=np.random.default_rng(0), dtype=np.float64)
+    norm = BatchNorm2d(4, dtype=np.float64).eval()
+    norm.running_mean[...], norm.running_var[...] = running_mean, running_var
 
-    conv_cases = [
-        ("conv2d 3x3", dict(stride=1, padding=1, groups=1), (2, 3, 6, 6), (4, 3, 3, 3)),
-        ("conv2d stride2", dict(stride=2, padding=0, groups=1), (1, 2, 7, 7), (3, 2, 3, 3)),
-        ("conv2d grouped", dict(stride=1, padding=1, groups=2), (2, 4, 5, 5), (6, 2, 3, 3)),
-        ("conv2d depthwise", dict(stride=1, padding=1, groups=4), (1, 4, 6, 6), (4, 1, 3, 3)),
-        ("conv2d 1x1", dict(stride=1, padding=0, groups=1), (2, 5, 4, 4), (3, 5, 1, 1)),
+    def fn(x, w, g, b):
+        conv.weight, norm.gamma, norm.beta = w, g, b
+        return conv_norm(x, conv, norm)
+
+    return fn
+
+
+OpCase = tuple[str, float, Callable[..., Tensor], list[Tensor]]
+
+
+def op_cases(rng: np.random.Generator) -> list[OpCase]:
+    """``(name, tol, fn, inputs)``: one small random float64 case per
+    differentiable op and per conv and norm configuration the system runs,
+    extents at most 8.  This is the only op list: ``gradient_suite`` checks
+    it, and the tests check it again over more seeds."""
+    t = functools.partial(_t, rng)
+
+    def affine(c):
+        return [t(c, scale=0.2, shift=1.0), t(c, scale=0.2)]
+
+    labels = rng.integers(0, 3, size=(2, 3, 1))
+    rm, rv = np.zeros(4), np.ones(4)
+    eval_rm, eval_rv = np.linspace(-0.3, 0.3, 4), np.linspace(0.5, 1.5, 4)
+    return [
+        ("add broadcast", AFFINE_TOL, lambda x, y: x + y, [t(3, 4), t(4)]),
+        ("sub", AFFINE_TOL, lambda x, y: x - y, [t(3, 4), t(3, 4)]),
+        ("mul", GENERAL_TOL, lambda x, y: x * y, [t(3, 4), t(3, 4)]),
+        ("sigmoid", GENERAL_TOL, F.sigmoid, [t(4, 4)]),
+        ("silu", GENERAL_TOL, F.silu, [t(4, 4)]),
+        ("gelu", GENERAL_TOL, F.gelu, [t(4, 4)]),
+        ("linear", AFFINE_TOL, F.linear, [t(4, 6), t(3, 6), t(3)]),
+        ("reshape", AFFINE_TOL, lambda x: reshape(x, (2, 8)), [t(4, 4)]),
+        ("transpose", AFFINE_TOL, lambda x: transpose(x, (1, 0, 2)), [t(2, 3, 4)]),
+        ("concat", AFFINE_TOL, lambda x, y: concat([x, y], axis=1), [t(3, 2), t(3, 4)]),
+        ("slice", AFFINE_TOL, lambda x: slice_(x, (slice(1, 3), slice(0, 2))), [t(4, 4)]),
+        ("pad", AFFINE_TOL, lambda x: pad(x, ((1, 1), (0, 2))), [t(3, 3)]),
+        ("sum", AFFINE_TOL, lambda x: sum_(x, axis=1), [t(3, 5)]),
+        ("mean keepdims", AFFINE_TOL, lambda x: mean(x, axis=(1, 2), keepdims=True), [t(2, 3, 4)]),
+        ("softmax", GENERAL_TOL, lambda x: F.softmax(x, axis=-1), [t(4, 6)]),
+        ("conv2d 3x3", AFFINE_TOL, _conv(padding=1), [t(1, 2, 5, 5), t(3, 2, 3, 3, scale=0.5), t(3)]),
+        ("conv2d stride2", AFFINE_TOL, _conv(stride=2), [t(1, 2, 7, 7), t(3, 2, 3, 3, scale=0.5), t(3)]),
+        ("conv2d grouped", AFFINE_TOL, _conv(padding=1, groups=2), [t(2, 4, 5, 5), t(6, 2, 3, 3, scale=0.5), t(6)]),
+        ("conv2d grouped strided", AFFINE_TOL, _conv(stride=2, padding=1, groups=2),
+         [t(1, 4, 6, 6), t(4, 2, 3, 3, scale=0.5), t(4)]),
+        ("conv2d depthwise", AFFINE_TOL, _conv(padding=1, groups=4), [t(1, 4, 6, 6), t(4, 1, 3, 3, scale=0.5), t(4)]),
+        ("conv2d depthwise strided", AFFINE_TOL, _conv(stride=2, padding=1, groups=3),
+         [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5)]),
+        ("conv2d 1x1", AFFINE_TOL, _conv(), [t(2, 3, 4, 5), t(4, 3, 1, 1, scale=0.5), t(4)]),
+        ("conv2d 1x1 strided", AFFINE_TOL, _conv(stride=2), [t(3, 3, 5, 6), t(4, 3, 1, 1, scale=0.5)]),
+        ("conv2d 1x1 on a 1x1 map", AFFINE_TOL, _conv(), [t(3, 5, 1, 1), t(4, 5, 1, 1, scale=0.5), t(4)]),
+        ("bilinear_upsample2x", AFFINE_TOL, F.bilinear_upsample2x, [t(1, 2, 3, 4)]),
+        ("global_avg_pool", AFFINE_TOL, F.global_avg_pool, [t(2, 3, 4, 4)]),
+        ("layer_norm", GENERAL_TOL, F.layer_norm, [t(4, 6), *affine(6)]),
+        ("batch_norm train", GENERAL_TOL, lambda x, g, b: F.batch_norm(x, g, b, rm.copy(), rv.copy(), True),
+         [t(3, 4, 4, 4), *affine(4)]),
+        ("batch_norm eval", AFFINE_TOL, lambda x, g, b: F.batch_norm(x, g, b, eval_rm, eval_rv, False),
+         [t(3, 4, 4, 4), *affine(4)]),
+        ("batch_norm_silu", GENERAL_TOL, lambda x, g, b: F.batch_norm_silu(x, g, b, rm.copy(), rv.copy()),
+         [t(3, 4, 4, 4), *affine(4)]),
+        ("conv_norm eval", GENERAL_TOL, _conv_norm_eval(eval_rm, eval_rv),
+         [t(2, 3, 5, 6), t(4, 3, 3, 3, scale=0.5), *affine(4)]),
+        ("cross_entropy", GENERAL_TOL, lambda x: F.cross_entropy(x, labels), [t(2, 3, 3, 1)]),
     ]
-    for name, kw, xs, wshape in conv_cases:
-        case(
-            name, AFFINE_TOL,
-            lambda x, w, c, kw=kw: F.conv2d(x, w, c, **kw),
-            _t(rng, *xs), _t(rng, *wshape, scale=0.5), _t(rng, wshape[0]),
-        )
 
-    case("bilinear_upsample2x", AFFINE_TOL, F.bilinear_upsample2x, _t(rng, 2, 3, 5, 4))
-    case("global_avg_pool", AFFINE_TOL, F.global_avg_pool, _t(rng, 2, 3, 4, 4))
-    case(
-        "layer_norm", GENERAL_TOL,
-        lambda x, g, c: F.layer_norm(x, g, c), _t(rng, 4, 6),
-        _t(rng, 6, scale=0.2, shift=1.0), _t(rng, 6, scale=0.2),
-    )
-    rm, rv = np.zeros(5), np.ones(5)
-    case(
-        "batch_norm train", GENERAL_TOL,
-        lambda x, g, c: F.batch_norm(x, g, c, rm.copy(), rv.copy(), True),
-        _t(rng, 4, 5, 6, 6), _t(rng, 5, scale=0.2, shift=1.0), _t(rng, 5, scale=0.2),
-    )
-    case(
-        "batch_norm eval", GENERAL_TOL,
-        lambda x, g, c: F.batch_norm(x, g, c, rm + 0.3, rv + 0.5, False),
-        _t(rng, 2, 5, 4, 4), _t(rng, 5, scale=0.2, shift=1.0), _t(rng, 5, scale=0.2),
-    )
-    case(
-        "cross_entropy", GENERAL_TOL,
-        lambda x: F.cross_entropy(x, np.array([[1, 0], [2, 1]])), _t(rng, 2, 3, 2),
-    )
 
-    def window_attention_case():
-        wa = WindowAttention(4, rng=np.random.default_rng(7), dtype=np.float64)
-        x = _t(rng, 4, 4, 3)
+def _window_attention_case(rng: np.random.Generator):
+    wa = WindowAttention(4, rng=np.random.default_rng(7), dtype=np.float64)
 
-        def fn(xx, *params):
-            return wa(local_partition(mean(xx, axis=-1, keepdims=True), 2))
+    def fn(xx, *params):
+        return wa(local_partition(mean(xx, axis=-1, keepdims=True), 2))
 
-        return fn, (x,) + tuple(p for _, p in wa.named_parameters())
+    return fn, [_t(rng, 4, 4, 3), *(p for _, p in wa.named_parameters())]
 
-    checks.append(("window_attention", GENERAL_TOL, window_attention_case))
 
-    def layout_grad_case():
-        x = _t(rng, 4, 4, 8)
+def _layout_chain_case(rng: np.random.Generator):
+    def fn(xx):
+        merged = patch_merge(global_reverse(global_partition(xx, 1)))
+        return patch_reverse(alternate_select(merged))
 
-        def fn(xx):
-            ws = global_partition(xx, 1)
-            back = global_reverse(ws)
-            merged = patch_merge(back)
-            return patch_reverse(alternate_select(merged))
+    return fn, [_t(rng, 4, 4, 8)]
 
-        return fn, (x,)
 
-    checks.append(("layout chain", AFFINE_TOL, layout_grad_case))
+def _irsc_case(rng: np.random.Generator):
+    return irsc_fuse, [_t(rng, 4, 4, 8), _t(rng, 8, 8, 2)]
 
-    def irsc_case():
-        enc = _t(rng, 4, 4, 8)
-        dec = _t(rng, 8, 8, 2)
-        return (lambda e, d: irsc_fuse(e, d)), (enc, dec)
 
-    checks.append(("irsc_fuse", AFFINE_TOL, irsc_case))
+def _block_case(rng: np.random.Generator):
+    block = SegnetrBlock(4, 2, "parallel", rng=np.random.default_rng(11), dtype=np.float64)
+    block.train()
+    labels = np.random.default_rng(3).integers(0, 4, size=(2, 8, 8))
 
-    def full_block_case():
-        block = SegnetrBlock(4, 2, "parallel", rng=np.random.default_rng(11), dtype=np.float64)
-        block.train()
-        x = _t(rng, 2, 4, 8, 8, scale=0.5)
-        labels = np.random.default_rng(3).integers(0, 4, size=(2, 8, 8))
+    def fn(xx, *params):
+        return F.cross_entropy(block(xx), labels)
 
-        def fn(xx, *params):
-            return F.cross_entropy(block(xx), labels)
+    return fn, [_t(rng, 2, 4, 8, 8, scale=0.5), *(p for _, p in block.named_parameters())]
 
-        return fn, (x,) + tuple(p for _, p in block.named_parameters())
 
-    checks.append(("segnetr block", GENERAL_TOL, full_block_case))
+_MODULE_CASES = (
+    ("window_attention", GENERAL_TOL, _window_attention_case),
+    ("layout chain", AFFINE_TOL, _layout_chain_case),
+    ("irsc_fuse", AFFINE_TOL, _irsc_case),
+    ("segnetr block", GENERAL_TOL, _block_case),
+)
 
+
+def gradient_suite(seed: int = 0) -> list[CheckResult]:
+    """One check per ``op_cases`` case, then one per module case."""
+    rng = np.random.default_rng(seed)
+    checks = op_cases(rng) + [(name, tol, *build(rng)) for name, tol, build in _MODULE_CASES]
     results = []
-    for name, tol, thunk in checks:
-        fn, inputs = thunk()
-        res = grad_check(fn, list(inputs))
+    for name, tol, fn, inputs in checks:
+        res = grad_check(fn, inputs)
         results.append(
             CheckResult(name, res.max_rel_error < tol, f"max rel err {res.max_rel_error:.3e} (tol {tol:g})")
         )

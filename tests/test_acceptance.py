@@ -66,7 +66,7 @@ def test_criterion_2_gradient_checks():
         assert r.passed, f"{r.name}: {r.detail}"
     assert elapsed < 300.0
     # one check per case; perfbench's verify workload counts these too
-    assert len(results) == 38
+    assert len(results) == 36
 
 
 def test_criterion_3_cost_calibration():

@@ -1,5 +1,7 @@
 """Backward-pass semantics, Adam behavior, and finite-difference checks."""
 
+import functools
+import inspect
 import os
 import select
 import subprocess
@@ -12,41 +14,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segnetr import autodiff
 from segnetr.autodiff import (
     Adam,
     Parameter,
     Tensor,
     backward,
+    batch_norm,
+    batch_norm_silu,
     concat,
     conv2d,
-    cross_entropy,
-    gelu,
+    functional,
     grad_check,
-    layer_norm,
+    gradcheck,
     linear,
-    mean,
-    pad,
-    relu,
-    reshape,
-    sigmoid,
-    silu,
     softmax,
     sum_,
-    transpose,
+    tensor,
 )
 import segnetr.verify
-from segnetr.autodiff import batch_norm, batch_norm_silu, bilinear_upsample2x, global_avg_pool, log_softmax
-from segnetr.autodiff import gradcheck
-from segnetr.autodiff.tensor import (
-    _make_output,
-    exp,
-    log,
-    no_grad,
-    slice_,
-    sqrt,
-)
-from segnetr.blocks import BatchNorm2d, Conv2d, conv_norm
+from segnetr.autodiff.tensor import _make_output, no_grad
 from segnetr.errors import ContractError
+from segnetr.verify import AFFINE_TOL, GENERAL_TOL, _t, op_cases
 
 from .oracles import adam_naive
 
@@ -344,91 +333,72 @@ class TestGradCheckExamples:
         assert res.max_rel_error < 1e-6
 
 
-AFFINE = 1e-6
-GENERAL = 1e-3
-
-
-def _op_inventory(rng):
-    """One small random case per differentiable op, extents at most 8."""
-
-    def t(*shape, scale=1.0, shift=0.0):
-        return t64(rng.standard_normal(shape) * scale + shift)
-
-    labels = rng.integers(0, 3, size=(2, 3, 1))
-    rm, rv = np.zeros(4), np.ones(4)
-    eval_rm, eval_rv = np.linspace(-0.3, 0.3, 4), np.linspace(0.5, 1.5, 4)
-    return [
-        ("add", AFFINE, lambda x, y: x + y, [t(3, 4), t(4)]),
-        ("sub", AFFINE, lambda x, y: x - y, [t(3, 4), t(3, 4)]),
-        ("mul", GENERAL, lambda x, y: x * y, [t(3, 4), t(3, 4)]),
-        ("div", GENERAL, lambda x, y: x / y, [t(3, 4), t(3, 4, shift=4.0)]),
-        ("neg", AFFINE, lambda x: -x, [t(5)]),
-        ("exp", GENERAL, exp, [t(3, 3, scale=0.5)]),
-        ("log", GENERAL, log, [t(3, 3, shift=3.0)]),
-        ("sqrt", GENERAL, sqrt, [t(3, 3, shift=3.0)]),
-        ("relu", GENERAL, relu, [t(4, 4, shift=0.3)]),
-        ("sigmoid", GENERAL, sigmoid, [t(4, 4)]),
-        ("silu", GENERAL, silu, [t(4, 4)]),
-        ("gelu", GENERAL, gelu, [t(4, 4)]),
-        ("matmul", AFFINE, lambda x, y: x @ y, [t(3, 5), t(5, 2)]),
-        ("linear", AFFINE, linear, [t(4, 6), t(3, 6), t(3)]),
-        ("reshape", AFFINE, lambda x: reshape(x, (2, 8)), [t(4, 4)]),
-        ("transpose", AFFINE, lambda x: transpose(x, (1, 0, 2)), [t(2, 3, 4)]),
-        ("concat", AFFINE, lambda x, y: concat([x, y], axis=1), [t(3, 2), t(3, 4)]),
-        ("slice", AFFINE, lambda x: slice_(x, (slice(1, 3), slice(0, 2))), [t(4, 4)]),
-        ("pad", AFFINE, lambda x: pad(x, ((1, 1), (0, 2))), [t(3, 3)]),
-        ("sum", AFFINE, lambda x: sum_(x, axis=1), [t(3, 5)]),
-        ("mean", AFFINE, lambda x: mean(x, axis=(1, 2), keepdims=True), [t(2, 3, 4)]),
-        ("softmax", GENERAL, lambda x: softmax(x, axis=-1), [t(4, 6)]),
-        ("log_softmax", GENERAL, lambda x: log_softmax(x, axis=1), [t(3, 5)]),
-        ("conv2d", AFFINE, lambda x, w, b: conv2d(x, w, b, stride=1, padding=1), [t(1, 2, 5, 5), t(3, 2, 3, 3, scale=0.5), t(3)]),
-        ("conv2d grouped", AFFINE, lambda x, w, b: conv2d(x, w, b, stride=2, padding=1, groups=2), [t(1, 4, 6, 6), t(4, 2, 3, 3, scale=0.5), t(4)]),
-        ("bilinear", AFFINE, bilinear_upsample2x, [t(1, 2, 3, 4)]),
-        ("global_avg_pool", AFFINE, global_avg_pool, [t(2, 3, 4, 4)]),
-        ("layer_norm", GENERAL, layer_norm, [t(4, 6), t(6, scale=0.2, shift=1.0), t(6, scale=0.2)]),
-        ("batch_norm", GENERAL, lambda x, g, b: batch_norm(x, g, b, rm.copy(), rv.copy(), True), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
-        ("cross_entropy", GENERAL, lambda x: cross_entropy(x, labels), [t(2, 3, 3, 1)]),
-        ("conv2d depthwise", AFFINE, lambda x, w, b: conv2d(x, w, b, stride=1, padding=1, groups=3), [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5), t(3)]),
-        ("conv2d depthwise strided", AFFINE, lambda x, w: conv2d(x, w, stride=2, padding=1, groups=3), [t(2, 3, 5, 6), t(3, 1, 3, 3, scale=0.5)]),
-        ("batch_norm eval", AFFINE, lambda x, g, b: batch_norm(x, g, b, eval_rm, eval_rv, False), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
-        ("conv2d 1x1", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(2, 3, 4, 5), t(4, 3, 1, 1, scale=0.5), t(4)]),
-        ("conv2d 1x1 strided", AFFINE, lambda x, w: conv2d(x, w, stride=2), [t(3, 3, 5, 6), t(4, 3, 1, 1, scale=0.5)]),
-        ("conv2d 1x1 on a 1x1 map", AFFINE, lambda x, w, b: conv2d(x, w, b), [t(3, 5, 1, 1), t(4, 5, 1, 1, scale=0.5), t(4)]),
-        ("conv_norm eval", GENERAL, _conv_norm_eval(eval_rm, eval_rv), [t(2, 3, 5, 6), t(4, 3, 3, 3, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
-        ("batch_norm_silu", GENERAL, lambda x, g, b: batch_norm_silu(x, g, b, rm.copy(), rv.copy()), [t(3, 4, 4, 4), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
-        # convs whose rules rebuild their input from the producer's recipe
-        ("batch_norm_silu → conv2d depthwise", GENERAL, lambda x, g, b, w: conv2d(batch_norm_silu(x, g, b, rm.copy(), rv.copy()), w, padding=1, groups=4), [t(3, 4, 4, 5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
-        ("mul gate → conv2d 1x1", AFFINE, lambda h, gate, w: conv2d(h * gate, w), [t(2, 4, 3, 5), t(2, 4, 1, 1), t(3, 4, 1, 1, scale=0.5)]),
-        # norms that keep a 1×1 conv's recipe, and a conv that rebuilds its
-        # input from a norm's recipe that does
-        ("conv2d 1x1 → batch_norm_silu → conv2d depthwise", GENERAL,
-         lambda x, w, g, b, dw: conv2d(batch_norm_silu(conv2d(x, w), g, b, rm.copy(), rv.copy()), dw, padding=1, groups=4),
-         [t(3, 2, 4, 5), t(4, 2, 1, 1, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
-        ("conv2d 1x1 → batch_norm", GENERAL, lambda x, w, g, b: batch_norm(conv2d(x, w), g, b, rm.copy(), rv.copy(), True),
-         [t(3, 2, 4, 4), t(4, 2, 1, 1, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
-    ]
-
-
-def _conv_norm_eval(running_mean, running_var):
-    """``(x, W, γ, β) ↦ conv_norm(x, conv, norm)`` for a 3×3 padded conv and
-    an eval-mode norm holding the given running statistics."""
-
-    def fn(x, w, g, b):
-        conv = Conv2d(3, 4, 3, padding=1, bias=False, rng=np.random.default_rng(0), dtype=np.float64)
-        norm = BatchNorm2d(4, dtype=np.float64).eval()
-        norm.running_mean[...], norm.running_var[...] = running_mean, running_var
-        conv.weight, norm.gamma, norm.beta = w, g, b
-        return conv_norm(x, conv, norm)
-
-    return fn
+def _assert_cases_pass(cases):
+    for name, tol, fn, inputs in cases:
+        res = grad_check(fn, inputs)
+        assert res.max_rel_error < tol, f"{name}: {res.max_rel_error:.3e} >= {tol:g}"
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_passes_finite_differences(seed):
-    rng = np.random.default_rng(seed + 100)
-    for name, tol, fn, inputs in _op_inventory(rng):
-        res = grad_check(fn, inputs)
-        assert res.max_rel_error < tol, f"{name}: {res.max_rel_error:.3e} >= {tol:g}"
+    _assert_cases_pass(op_cases(np.random.default_rng(seed + 100)))
+
+
+def _recipe_chains(rng):
+    """Producer → consumer pairs whose consumer keeps the producer's recipe
+    in place of its output: a conv rebuilding its input from a norm's or a
+    gate's recipe, and norms keeping a 1×1 conv's."""
+    t = functools.partial(_t, rng)
+    rm, rv = np.zeros(4), np.ones(4)
+    return [
+        ("batch_norm_silu → conv2d depthwise", GENERAL_TOL, lambda x, g, b, w: conv2d(batch_norm_silu(x, g, b, rm.copy(), rv.copy()), w, padding=1, groups=4), [t(3, 4, 4, 5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
+        ("mul gate → conv2d 1x1", AFFINE_TOL, lambda h, gate, w: conv2d(h * gate, w), [t(2, 4, 3, 5), t(2, 4, 1, 1), t(3, 4, 1, 1, scale=0.5)]),
+        ("conv2d 1x1 → batch_norm_silu → conv2d depthwise", GENERAL_TOL,
+         lambda x, w, g, b, dw: conv2d(batch_norm_silu(conv2d(x, w), g, b, rm.copy(), rv.copy()), dw, padding=1, groups=4),
+         [t(3, 2, 4, 5), t(4, 2, 1, 1, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2), t(4, 1, 3, 3, scale=0.5)]),
+        ("conv2d 1x1 → batch_norm", GENERAL_TOL, lambda x, w, g, b: batch_norm(conv2d(x, w), g, b, rm.copy(), rv.copy(), True),
+         [t(3, 2, 4, 4), t(4, 2, 1, 1, scale=0.5), t(4, scale=0.2, shift=1.0), t(4, scale=0.2)]),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_recipe_chains_pass_finite_differences(seed):
+    _assert_cases_pass(_recipe_chains(np.random.default_rng(seed + 100)))
+
+
+def _exported_ops():
+    """Every function ``segnetr.autodiff`` exports from its op modules but
+    ``backward``, which records nothing, and the ops behind ``Tensor``'s
+    ``+``, ``-`` and ``*``."""
+    ops = {name: getattr(autodiff, name) for name in autodiff.__all__}
+    ops = {
+        name: op for name, op in ops.items()
+        if inspect.isfunction(op) and op.__module__ in (functional.__name__, tensor.__name__)
+    }
+    del ops["backward"]
+    return ops | {"add": tensor.add, "sub": tensor.sub, "mul": tensor.mul}
+
+
+def test_every_exported_op_is_run_by_an_op_case(monkeypatch):
+    # an op runs when its frame is on the stack of a node being recorded;
+    # global_avg_pool records none of its own, its mean does
+    on_stack, original = set(), tensor._make_output
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            on_stack.add(frame.f_code)
+            frame = frame.f_back
+        return original(*args, **kwargs)
+
+    for module in (tensor, functional):
+        monkeypatch.setattr(module, "_make_output", recording)
+    cases = op_cases(np.random.default_rng(0))
+    for _, _, fn, inputs in cases:
+        fn(*inputs)
+    names = [name for name, *_ in cases]
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert sorted(name for name, op in _exported_ops().items() if op.__code__ not in on_stack) == []
 
 
 def _suite_check_results(monkeypatch, seed):
