@@ -6,7 +6,7 @@ U-shaped model, cost accounting, and a synthetic training harness.
 """
 
 from .costs import CostReport, CostRow, confusion, cost_report, count_flops, count_params, iou_dice
-from .data import SyntheticDataset, gen_synthetic
+from .data import SyntheticDataset, SyntheticSamples, gen_synthetic
 from .model import ModelConfig, MiniUnet, SegnetrModel, build
 from .training import (
     TrainRun,
@@ -26,6 +26,7 @@ __all__ = [
     "ModelConfig",
     "SegnetrModel",
     "SyntheticDataset",
+    "SyntheticSamples",
     "TrainRun",
     "build",
     "confusion",

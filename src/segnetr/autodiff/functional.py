@@ -563,6 +563,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(
             f"cross_entropy: labels {labels.shape} do not match logits {logits.shape}"
         )
+    if labels.size == 0:
+        raise ShapeError(f"cross_entropy: empty batch: labels {labels.shape} hold no pixel")
     k = logits.shape[1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"cross_entropy: labels must lie in [0, {k})")

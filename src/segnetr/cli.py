@@ -16,7 +16,7 @@ from typing import Optional
 
 from .autodiff.gradcheck import worker_count
 from .costs import cost_report
-from .data import gen_synthetic
+from .data import SyntheticSamples
 from .errors import CheckpointError, ConfigError, TrainingError
 from .model import ModelConfig, build
 from .training import TrainRun, evaluate, load_checkpoint, toy_config, train
@@ -84,10 +84,11 @@ def _cmd_eval(args) -> int:
     except CheckpointError as exc:
         print(f"checkpoint load failed: {exc}", file=sys.stderr)
         return 1
-    dataset = gen_synthetic(args.samples, cfg.resolution, cfg.num_classes, cfg.seed + 1)
-    metrics = evaluate(model, dataset)
+    # painted one batch at a time, so --samples does not set memory use
+    samples = SyntheticSamples(args.samples, cfg.resolution, cfg.num_classes, cfg.seed + 1)
+    metrics = evaluate(model, samples)
     print(f"mean IoU {metrics.mean_iou:.4f}, mean Dice {metrics.mean_dice:.4f}")
-    for k in range(dataset.num_classes):
+    for k in range(cfg.num_classes):
         note = "" if metrics.evaluated[k] else " (empty, excluded from mean)"
         print(f"  class {k}: IoU {metrics.iou[k]:.4f}, Dice {metrics.dice[k]:.4f}{note}")
     return 0

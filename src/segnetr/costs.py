@@ -320,6 +320,11 @@ class ConfusionCounts:
             if np.any(arr < 0) or arr.sum() > self.total_pixels:
                 raise ValidationError("confusion counts must be non-negative and bounded")
 
+    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
+        """Counts over both pixel sets: integer sums, so exact."""
+        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn,
+                               self.total_pixels + other.total_pixels)
+
 
 @dataclass(frozen=True)
 class Metrics:

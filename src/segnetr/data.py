@@ -3,15 +3,20 @@
 Each sample paints 1-3 random ellipses or axis-aligned rectangles onto a dark
 background; the mask labels shape interiors with classes 1..K-1 (later shapes
 overwrite earlier ones) and the image colors each class with a bright
-per-sample color over additive Gaussian noise.  Generation is driven by a
-spawned SeedSequence per sample, so sample i is the same regardless of how
-many samples are requested.
+per-sample color over additive Gaussian noise.
+
+A sample is a function of ``(seed, index)``: sample i is painted from
+``SeedSequence(seed, spawn_key=(i,))``, which is ``SeedSequence(seed).spawn(n)[i]``
+for every n > i.  So ``SyntheticSamples`` can paint any batch of indices on
+demand and holds no image itself, and ``gen_synthetic`` is the same painter
+over ``range(n)``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +43,53 @@ class SyntheticDataset:
         return float((self.masks > 0).mean())
 
 
+@dataclass(frozen=True)
+class SyntheticSamples:
+    """``n`` size×size samples of one seed, painted only when asked for:
+    ``batch`` paints any indices, and ``batches`` goes through all ``n`` one
+    batch at a time, so a consumer holds one batch, never the whole set."""
+
+    n: int
+    size: int
+    num_classes: int
+    seed: int
+    channels: int = 3
+    noise_sigma: float = 0.05
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"need at least one sample, got n={self.n}")
+        if self.size < 8:
+            raise ValidationError(f"size must be at least 8, got {self.size}")
+        if self.num_classes < 2:
+            raise ValidationError(f"num_classes must be at least 2, got {self.num_classes}")
+        if self.channels not in (1, 3):
+            raise ValidationError(f"channels must be 1 or 3, got {self.channels}")
+        if self.noise_sigma < 0:
+            raise ValidationError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+
+    def batch(self, indices: Iterable[int]) -> SyntheticDataset:
+        """Samples ``indices`` in the order given, repeats allowed."""
+        indices = [operator.index(i) for i in indices]
+        for i in indices:
+            if not 0 <= i < self.n:
+                raise ValidationError(f"sample index {i} outside [0, {self.n})")
+        images = np.empty((len(indices), self.channels, self.size, self.size), dtype=np.float32)
+        masks = np.empty((len(indices), self.size, self.size), dtype=np.int64)
+        for row, i in enumerate(indices):
+            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(i,)))
+            images[row], masks[row] = _paint(rng, self.size, self.num_classes, self.channels,
+                                             self.noise_sigma)
+        return SyntheticDataset(images, masks, self.num_classes, self.seed, self.noise_sigma)
+
+    def batches(self, batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Batches in index order, each painted when reached; a trailing
+        short batch is kept."""
+        for start in range(0, self.n, batch_size):
+            part = self.batch(range(start, min(start + batch_size, self.n)))
+            yield part.images, part.masks
+
+
 def _paint(rng: np.random.Generator, size: int, num_classes: int, channels: int,
            noise_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -62,19 +114,4 @@ def _paint(rng: np.random.Generator, size: int, num_classes: int, channels: int,
 def gen_synthetic(n: int, size: int, num_classes: int, seed: int, *,
                   channels: int = 3, noise_sigma: float = 0.05) -> SyntheticDataset:
     """Generate ``n`` deterministic size×size samples for the given seed."""
-    if n < 1:
-        raise ValidationError(f"need at least one sample, got n={n}")
-    if size < 8:
-        raise ValidationError(f"size must be at least 8, got {size}")
-    if num_classes < 2:
-        raise ValidationError(f"num_classes must be at least 2, got {num_classes}")
-    if channels not in (1, 3):
-        raise ValidationError(f"channels must be 1 or 3, got {channels}")
-    if noise_sigma < 0:
-        raise ValidationError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    images = np.empty((n, channels, size, size), dtype=np.float32)
-    masks = np.empty((n, size, size), dtype=np.int64)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
-        rng = np.random.default_rng(child)
-        images[i], masks[i] = _paint(rng, size, num_classes, channels, noise_sigma)
-    return SyntheticDataset(images, masks, num_classes, seed, noise_sigma)
+    return SyntheticSamples(n, size, num_classes, seed, channels, noise_sigma).batch(range(n))

@@ -205,6 +205,8 @@ class UNet(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"expected input (N, 3, H, W), got {x.shape}")
+        if x.shape[0] == 0:
+            raise ShapeError(f"empty batch: input {x.shape} holds no image")
         stage_extents(x.shape[2], x.shape[3], self.cfg.stage_tiling)
         y = conv_norm(x, self.stem, self.stem_norm, silu=True)
         skips = []

@@ -3,7 +3,8 @@
 Everything downstream of (seed, config) is deterministic: data generation,
 batch sampling, initialization, and optimization draw from spawned
 SeedSequence children, and the metrics CSV and checkpoint bytes are fixed
-functions of the run.
+functions of the run.  Samples are painted per batch from their indices, so
+training and evaluation hold one batch of data at a time, never a dataset.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .autodiff.adam import Adam
 from .autodiff.module import Module
 from .autodiff.tensor import Tensor, backward, no_grad
 from .costs import Metrics, confusion, iou_dice
-from .data import SyntheticDataset, gen_synthetic
+from .data import SyntheticSamples
 from .errors import (
     CheckpointMagicError,
     CheckpointShapeError,
@@ -30,6 +31,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     TrainingError,
+    ValidationError,
 )
 from .model import ModelConfig, build
 
@@ -53,9 +55,11 @@ class TrainRun:
     ``loss_history`` gains one entry per executed step; ``metric_history``
     gains one ``(step, mean_iou, mean_dice)`` entry per held-out evaluation
     (every ``eval_interval`` steps and at the final step).  ``target_dice``
-    stops the run early once the held-out Dice reaches it.  ``steps`` and
-    ``eval_interval`` must be at least 1 and ``batch_size`` at least 2
-    (training-mode batch norm rejects a singleton batch).
+    stops the run early once the held-out Dice reaches it.  ``train_size``
+    and ``eval_size`` count the training and held-out samples, painted per
+    batch and never held whole.  ``steps``, ``eval_interval`` and both sizes
+    must be at least 1 and ``batch_size`` at least 2 (training-mode batch
+    norm rejects a singleton batch).
     """
 
     cfg: ModelConfig
@@ -72,13 +76,16 @@ class TrainRun:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
-        for name, least in (("steps", 1), ("eval_interval", 1), ("batch_size", 2)):
+        for name, least in (("steps", 1), ("eval_interval", 1), ("batch_size", 2),
+                            ("train_size", 1), ("eval_size", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def predict(model: Module, images: np.ndarray, batch_size: int = 4) -> np.ndarray:
     """Class maps from argmax over the logits channel, in eval mode."""
+    if images.shape[0] == 0:
+        raise ValidationError(f"predict: empty batch: images {images.shape} hold no image")
     was_training = model.training
     model.eval()
     preds = []
@@ -91,21 +98,26 @@ def predict(model: Module, images: np.ndarray, batch_size: int = 4) -> np.ndarra
     return np.concatenate(preds, axis=0)
 
 
-def evaluate(model: Module, dataset: SyntheticDataset, batch_size: int = 4) -> Metrics:
-    """Mean IoU/Dice over the dataset; mutates nothing on the model."""
-    preds = predict(model, dataset.images, batch_size)
-    counts = confusion(preds, dataset.masks, dataset.num_classes)
-    return iou_dice(counts)
+def evaluate(model: Module, dataset, batch_size: int = 4) -> Metrics:
+    """Mean IoU/Dice over ``dataset``; mutates nothing on the model.
+
+    ``dataset`` is a ``SyntheticSamples`` or a ``SyntheticDataset``: its
+    ``batches`` are predicted one at a time and their confusion counts
+    summed, which is exact, so only one batch of samples is ever held."""
+    counts = [confusion(predict(model, images, batch_size), masks, dataset.num_classes)
+              for images, masks in dataset.batches(batch_size)]
+    return iou_dice(sum(counts[1:], counts[0]))
 
 
 def train(run: TrainRun, model: Optional[Module] = None) -> Module:
     """Run the training loop described by ``run`` and return the model.
 
-    Per step: forward, cross-entropy, backward, Adam update, loss logged.
-    Held-out IoU/Dice are computed every ``eval_interval`` steps and at the
-    end.  A non-finite loss aborts with a TrainingError naming the step;
-    the step's logits and loss, which own its graph, are dropped first, so
-    the traceback does not keep the graph alive.
+    Per step: paint the batch of the drawn indices, forward, cross-entropy,
+    backward, Adam update, loss logged.  Held-out IoU/Dice are computed one
+    batch at a time every ``eval_interval`` steps and at the end.  A
+    non-finite loss aborts with a TrainingError naming the step; the step's
+    logits and loss, which own its graph, are dropped first, so the
+    traceback does not keep the graph alive.
     """
     cfg = run.cfg
     cfg.validate()
@@ -115,8 +127,8 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
     train_seed, eval_seed, batch_seed = (
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
-    train_ds = gen_synthetic(run.train_size, cfg.resolution, cfg.num_classes, train_seed)
-    eval_ds = gen_synthetic(run.eval_size, cfg.resolution, cfg.num_classes, eval_seed)
+    train_data = SyntheticSamples(run.train_size, cfg.resolution, cfg.num_classes, train_seed)
+    eval_data = SyntheticSamples(run.eval_size, cfg.resolution, cfg.num_classes, eval_seed)
     if model is None:
         model = build(cfg)
     optimizer = Adam([p for _, p in model.named_parameters()], lr=run.lr)
@@ -126,9 +138,9 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
     stop = False
     for step in range(run.steps):
         model.train()
-        idx = batch_rng.integers(0, len(train_ds), size=run.batch_size)
-        logits = model(Tensor(train_ds.images[idx]))
-        loss = F.cross_entropy(logits, train_ds.masks[idx])
+        batch = train_data.batch(batch_rng.integers(0, run.train_size, size=run.batch_size))
+        logits = model(Tensor(batch.images))
+        loss = F.cross_entropy(logits, batch.masks)
         loss_value = float(loss.data)
         if not math.isfinite(loss_value):
             del logits, loss
@@ -140,7 +152,7 @@ def train(run: TrainRun, model: Optional[Module] = None) -> Module:
 
         last = step == run.steps - 1
         if (step + 1) % run.eval_interval == 0 or last:
-            metrics = evaluate(model, eval_ds, run.batch_size)
+            metrics = evaluate(model, eval_data, run.batch_size)
             run.metric_history.append((step, metrics.mean_iou, metrics.mean_dice))
             csv_lines.append(
                 f"{step},{loss_value!r},{metrics.mean_iou!r},{metrics.mean_dice!r}"

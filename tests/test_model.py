@@ -125,6 +125,12 @@ class TestSegnetrModel:
         with pytest.raises(ShapeError):
             model(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
 
+    @pytest.mark.parametrize("variant", ["segnetr", "mini-unet"])
+    def test_empty_batch_rejected(self, variant):
+        model = build(small_cfg(variant=variant))
+        with pytest.raises(ShapeError, match=r"^empty batch: input \(0, 3, 32, 32\)"):
+            model(Tensor(np.zeros((0, 3, 32, 32), dtype=np.float32)))
+
     def test_build_rejects_bad_resolution(self):
         with pytest.raises(ConfigError):
             build(small_cfg(resolution=56))

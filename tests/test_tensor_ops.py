@@ -747,6 +747,12 @@ class TestBilinear:
 
 
 class TestCrossEntropy:
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 4), (2, 2, 0, 4)])
+    def test_empty_batch_rejected(self, shape):
+        logits = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ShapeError, match="empty batch"):
+            cross_entropy(logits, np.zeros(shape[:1] + shape[2:], dtype=np.int64))
+
     def test_uniform_logits_give_ln2(self):
         logits = Tensor(np.zeros((1, 2, 2, 2)))
         loss = cross_entropy(logits, np.zeros((1, 2, 2), dtype=np.int64))

@@ -1,5 +1,6 @@
 """Training loop, evaluation, and checkpoint persistence tests."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,13 +10,16 @@ import pytest
 from segnetr.autodiff import Tensor
 from segnetr.autodiff import functional as F
 from segnetr.autodiff.module import Module
-from segnetr.data import gen_synthetic
+from segnetr.costs import confusion, iou_dice
+from segnetr.data import SyntheticSamples, gen_synthetic
 from segnetr.errors import (
     CheckpointMagicError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ConfigError,
     TrainingError,
+    ValidationError,
 )
 from segnetr.model import ModelConfig, build
 from segnetr.training import (
@@ -106,6 +110,16 @@ class TestTrainLoop:
         assert run.checkpoint_path == str(tmp_path / "model.ckpt")
         assert (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("name, value, least", [
+        ("steps", 0, 1), ("eval_interval", 0, 1), ("batch_size", 1, 2),
+        ("train_size", 0, 1), ("train_size", -3, 1), ("eval_size", 0, 1),
+    ])
+    def test_sizes_below_their_least_rejected_at_construction(self, tmp_path, name, value, least):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=f"^{name} must be >= {least}, got {value}$"):
+            small_run(out_dir=str(out), **{name: value})
+        assert not out.exists()
+
     def test_unusable_out_dir_fails_before_the_first_step(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
@@ -113,6 +127,30 @@ class TestTrainLoop:
         with pytest.raises(FileExistsError):
             train(run)
         assert run.loss_history == []
+
+
+class TestDataResidency:
+    """``train`` paints each batch from its indices: neither the training
+    nor the held-out set is ever held whole."""
+
+    BATCH = 16
+
+    def _peak(self, **sizes):
+        run = small_run(steps=2, eval_interval=2, batch_size=self.BATCH, **sizes)
+        tracemalloc.start()
+        try:
+            train(run)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_set_sizes(self):
+        train(small_run(steps=1, batch_size=self.BATCH))  # first-call caches
+        batch_bytes = self.BATCH * 32 * 32 * (3 * 4 + 8)  # float32 images, int64 masks
+        small = self._peak(train_size=8, eval_size=8)
+        # 512 samples at 32² are 10.5 MB, 32 batches' worth
+        for sizes in (dict(train_size=512, eval_size=8), dict(train_size=8, eval_size=512)):
+            assert abs(self._peak(**sizes) - small) < batch_bytes, sizes
 
 
 class TestEvaluate:
@@ -159,6 +197,23 @@ class TestEvaluate:
 
         metrics = evaluate(Oracle(ds.masks, 3), ds)
         assert metrics.mean_iou == metrics.mean_dice == 1.0
+
+    @pytest.mark.parametrize("n, batch_size, k", [(7, 3, 3), (4, 4, 2), (5, 2, 4)])
+    def test_per_batch_metrics_equal_the_whole_set_counts(self, n, batch_size, k):
+        model = perturb_state(build(small_cfg(num_classes=k)), 21)
+        whole = gen_synthetic(n, 32, k, seed=n)
+        want = iou_dice(confusion(predict(model, whole.images, batch_size), whole.masks, k))
+        for data in (SyntheticSamples(n, 32, k, seed=n), whole):
+            got = evaluate(model, data, batch_size)
+            for field in ("iou", "dice", "evaluated"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert (got.mean_iou, got.mean_dice) == (want.mean_iou, want.mean_dice)
+
+    def test_predict_rejects_an_empty_batch(self):
+        model = build(small_cfg())
+        with pytest.raises(ValidationError, match="empty batch"):
+            predict(model, np.zeros((0, 3, 32, 32), dtype=np.float32))
+        assert model.training
 
     def test_predict_returns_class_maps(self):
         model = build(small_cfg(num_classes=3))
