@@ -175,16 +175,12 @@ def conv2d(
     images; depthwise (``groups == in_c == out_c``) taps are a multiply per
     row.  Rows are built into one buffer a block of about ``_BLOCK_BYTES``
     at a time, whole images for dense convs (the batch when the rows are
-    the input planes).  If the op that made ``x`` offers a recipe for its
-    planes (``mul``, ``batch_norm_silu``, a 1×1 conv), the rule keeps that
-    instead of ``x``'s array and rebuilds each block, always of whole images,
-    since a 1×1 conv's recipe rebuilds only those.  A dense, unpadded,
-    stride-1 1×1 conv offers that recipe: an image's planes are one GEMM
-    with the rows the rule keeps, as in the forward.  The rule lays the output
-    gradient on the same grid, zero in the wrapped columns and after ``top``
-    zeros: ``gw`` is its product with each tap's slice, and each phase plane
-    of ``gx`` gathers the transposed taps of its phase from it, at ``top``
-    less their in-phase offsets; an untracked ``x`` gets no ``gx``.
+    the input planes).  The rule keeps ``x``'s array and builds its rows
+    again, a block at a time.  It lays the output gradient on the same
+    grid, zero in the wrapped columns and after ``top`` zeros: ``gw`` is its
+    product with each tap's slice, and each phase plane of ``gx`` gathers
+    the transposed taps of its phase from it, at ``top`` less their
+    in-phase offsets; an untracked ``x`` gets no ``gx``.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
@@ -217,18 +213,18 @@ def conv2d(
         grp = [(slice(i * opg, (i + 1) * opg), slice(i * cpg, (i + 1) * cpg))
                for i in range(groups)] if groups > 1 else [(slice(None), slice(None))]
 
-    def row_blocks(whole, by_image=not depthwise):
-        # about _BLOCK_BYTES of rows each; by_image, whole images (all if `whole`)
-        if not by_image:
-            return _row_blocks(n * cin, length * dt.itemsize)
-        imgs = [slice(0, n)] if whole else _row_blocks(n, cin * (s * s * plane + (kw - 1) // s) * dt.itemsize)
-        return [slice(b.start * cin, b.stop * cin) for b in imgs] if depthwise else imgs
+    planes = x.data.reshape(lead_in + (h, w))
+    # about _BLOCK_BYTES of rows each, whole images for dense convs (all if as_is)
+    if depthwise:
+        blocks = _row_blocks(n * cin, length * dt.itemsize)
+    else:
+        blocks = [slice(0, n)] if as_is else _row_blocks(n, cin * (s * s * plane + (kw - 1) // s) * dt.itemsize)
 
-    def rows(planes_of, blocks):
+    def rows():
         # (block, its rows); the zeros a block leaves stay for the next
         flat = None if as_is else np.zeros((blocks[0].stop,) + lead_in[1:] + (s * s * plane + (kw - 1) // s,), dtype=dt)
         for b in blocks:
-            xb = planes_of(b)
+            xb = planes[b]
             if not as_is:
                 grid = flat[: len(xb), ..., : s * s * plane].reshape(xb.shape[:-2] + (s, s, hs, ws))
                 for at, to in pairs:
@@ -255,13 +251,11 @@ def conv2d(
             if i:
                 out += dst
 
-    planes = x.data.reshape(lead_in + (h, w))
-    blocks = row_blocks(as_is)
     y = np.empty(lead_out + (oh, ow), dtype=dt)
     # the accumulator if there are wrapped columns to crop, the product buffer if there are taps to add
     buf = (blocks[0].stop,) + lead_out[1:] + (length,)
     acc, prod = np.empty(buf, dtype=dt) if ws != ow else None, np.empty(buf, dtype=dt) if len(offsets) > 1 else None
-    for b, r in rows(planes.__getitem__, blocks):
+    for b, r in rows():
         a = y.reshape(lead_out + (-1,))[b] if ws == ow else acc[: b.stop - b.start]
         tap_pass(b, [(t, r[..., off : off + length]) for t, off in enumerate(offsets)], a, prod)
         if ws != ow:
@@ -270,21 +264,7 @@ def conv2d(
     bd = None if bias is None else bias.data[:, None, None]
     if bd is not None:
         y += bd
-    recipe, tracked = x._node[3] if x._node else None, x._tracked
-
-    def rebuilt(b):  # a dense block of whole images from the recipe's N·C planes
-        return recipe(slice(b.start * cin, b.stop * cin)).reshape(-1, cin, h, w)
-
-    # the rule keeps the recipe, if there is one, not the input
-    saved = planes.__getitem__ if recipe is None else recipe if depthwise else rebuilt
-    whole, no_bias = as_is and recipe is None, bias is None
-
-    def remade(r):  # the planes of whole images of y, one GEMM each as in the forward
-        i0, i1, _ = r.indices(n * out_c)
-        v = np.matmul(wt[0], saved(slice(i0 // out_c, i1 // out_c)).reshape(-1, cin, h * w)).reshape(-1, out_c, h, w)
-        if bd is not None:
-            v += bd
-        return v.reshape(-1, h, w)
+    tracked = x._tracked
 
     def bw(g):
         top = offsets[-1] % plane
@@ -295,8 +275,7 @@ def conv2d(
             ext[..., top : top + length].reshape(lead_out + (oh, ws))[..., :ow] = g.reshape(lead_out + (oh, ow))
         gws = np.empty((len(offsets), n * cin) if depthwise else (len(offsets), out_c, cpg), dtype=dt)
         gx = np.empty(lead_in + ((h * w,) if as_is else (h, w)), dtype=dt)
-        # a recipe is asked for whole images only
-        for b, r in rows(saved, row_blocks(whole, not depthwise or recipe is not None)):
+        for b, r in rows():
             gb = ext[b][..., top : top + length]
             for t, off in enumerate(offsets):
                 src = r[..., off : off + length]
@@ -311,7 +290,6 @@ def conv2d(
                     if b.start:  # the earlier blocks' sum goes first
                         part[0] += gws[t, o]
                     part.sum(axis=0, out=gws[t, o])
-        blocks = row_blocks(whole)
         acc, prod = (np.empty((blocks[0].stop,) + lead_in[1:] + (plane,), dtype=dt).ravel() for _ in range(2))
         for b in blocks if tracked else ():  # no gx for an untracked input
             eb, k = ext[b], b.stop - b.start
@@ -330,10 +308,9 @@ def conv2d(
             gws = gws.reshape(len(offsets), n, cin).sum(axis=1)
         gx = gx.reshape(n, cin, h, w) if tracked else None
         grads = gx, np.ascontiguousarray(np.moveaxis(gws, 0, -1)).reshape(out_c, cpg, kh, kw)
-        return grads if no_bias else grads + (g.sum(axis=(0, 2, 3)),)
+        return grads if bias is None else grads + (g.sum(axis=(0, 2, 3)),)
 
-    offers = as_is and kh == 1 and groups == 1 and not depthwise
-    return _make_output(y, (x, weight) if bias is None else (x, weight, bias), bw, remade if offers else None)
+    return _make_output(y, (x, weight) if bias is None else (x, weight, bias), bw)
 
 
 # -- bilinear upsampling -----------------------------------------------------
@@ -422,8 +399,8 @@ def batch_norm(
     ``shift = β − μ·scale``, so its forward is ``x·scale + shift``.  A
     singleton batch in training cannot produce meaningful batch statistics
     and is rejected.  One fused op (the hot path in every block), so the
-    backward rule is hand-written.  In training it keeps ``x``, or ``x``'s
-    recipe if ``x`` is a 1×1 conv's output, and rebuilds ``x̂`` from it.
+    backward rule is hand-written.  In training it keeps ``x`` and rebuilds
+    ``x̂`` from it.
     """
     return _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, eps, then_silu=False)
 
@@ -432,11 +409,8 @@ def batch_norm_silu(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.nda
                     running_var: np.ndarray, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """``silu(batch_norm(x, …, training=True))`` as one node, with the same
     operations and bits.  SiLU runs in place on the norm's output, the
-    forward's only full-size array; the node keeps only ``x`` (or its recipe,
-    as ``batch_norm`` does), and its rule rebuilds ``v = x̂·γ + β`` for SiLU's
-    gradient (Rota Bulò et al., 2018).
-    The output offers a recipe that rebuilds its planes from ``x``, so a
-    ``conv2d`` reading it keeps no copy of it (Chen et al., 2016)."""
+    forward's only full-size array; the node keeps only ``x``, and its rule
+    rebuilds ``v = x̂·γ + β`` for SiLU's gradient (Rota Bulò et al., 2018)."""
     return _batch_norm(x, gamma, beta, running_mean, running_var, True, momentum, eps, then_silu=True)
 
 
@@ -478,18 +452,6 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
     running_var *= 1.0 - momentum
     running_var += momentum * var
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
-    # the rule and recipe keep x's recipe if it has one (a 1×1 conv's, in the
-    # model), else x
-    src, hw = x._node[3] if x._node else None, x.shape[2:]
-    keep = src or (lambda r: xd.reshape(n * c, *hw)[r])
-
-    def centred(r):
-        # planes r of the N·C planes of x − μ, in a new array: the one a
-        # recipe returns, if x is rebuilt
-        ch = np.arange(n * c)[r] % c
-        v = keep(r)
-        return np.subtract(v, mu[0, ch], out=v if src else None), ch
-
     # y = (x − μ)·inv_std·γ + β, built in the x − μ buffer: no x̂ outlives
     # the forward, the rule recomputes it from what the graph keeps
     y *= inv_std
@@ -504,7 +466,7 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
     def bw(g):
         # dx = g·k − k·dβ/m − x̂·(k·dγ/m) with k = γ/√(var+ε): two full-size
         # arrays, the recomputed x̂ and the result (in SiLU's gradient, if fused)
-        xhat = centred(slice(None))[0].reshape(n, c, *hw)
+        xhat = np.subtract(xd, mu, order="C")
         xhat *= inv_std
         if then_silu:
             # SiLU's gradient at v = x̂·γ + β, rebuilt a block of rows at a time
@@ -524,16 +486,7 @@ def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum, e
         dx -= xhat
         return dx, dgamma, dbeta
 
-    def planes(r):
-        # planes r of the N·C planes of y, rebuilt in the forward's op order
-        # from what the rule keeps: a conv2d reading y keeps this instead
-        v, ch = centred(r)
-        v *= inv_std[0, ch]
-        v *= gamma4[0, ch]
-        v += beta4[0, ch]
-        return np.multiply(v, _sigmoid_stable(v), out=v)
-
-    return _make_output(y, (x, gamma, beta), bw, planes if then_silu else None)
+    return _make_output(y, (x, gamma, beta), bw)
 
 
 # -- softmax / loss ----------------------------------------------------------

@@ -1,13 +1,13 @@
 """Dense tensors with graph-owned reverse-mode differentiation.
 
 A ``Tensor`` wraps a numpy array.  Every differentiable op on a tracked
-input records ``[seq, parents, rule, recipe]`` on its output, ``seq``
-counting ops in execution order; ``backward`` runs the rules reachable from
-the loss in descending ``seq``.  ``parents`` are the inputs' records, or
-tracked leaves, so an output no rule keeps dies when the caller drops it; a
-``recipe`` rebuilds the output for the ops that read it (see ``mul``).
-Scalars are float32 by default; the gradient checker builds float64 graphs
-the same way.
+input records ``[seq, parents, rule]`` on its output, ``seq`` counting ops
+in execution order; ``backward`` runs the rules reachable from the loss in
+descending ``seq``.  ``parents`` are the inputs' records, or tracked leaves,
+so an output no rule keeps dies when the caller drops it.  ``checkpoint``
+records a whole function as one node that keeps only its input and runs the
+function again in its rule.  Scalars are float32 by default; the gradient
+checker builds float64 graphs the same way.
 
 A graph lives only as long as its outputs, and ``backward`` empties each
 record, freeing its saved arrays, once its rule has run.  ``no_grad()``
@@ -161,7 +161,7 @@ def _constant_like(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
-def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, recipe=None) -> Tensor:
+def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -175,7 +175,7 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
                 out._leaf = False
                 out._tracked = True
                 parents = tuple(None if not u._tracked else u if u._leaf else u._node for u in inputs)
-                out._node = [next(_SEQ), parents, backward_fn, recipe]
+                out._node = [next(_SEQ), parents, backward_fn]
                 break
     return out
 
@@ -197,12 +197,17 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
-    pending = _reachable_records(loss._node)
+    _run(loss._node, seed)
+
+
+def _run(root: list, seed: np.ndarray) -> None:
+    """Run the rules reachable from ``root``, whose output gradient is ``seed``."""
+    pending = _reachable_records(root)
     pending.sort(key=lambda rec: rec[0])
-    flowing = {id(loss._node): seed}
+    flowing = {id(root): seed}
     while pending:
         rec = pending.pop()
-        _, parents, rule, _ = rec
+        _, parents, rule = rec
         rec.clear()
         g = flowing.pop(id(rec), None)
         if g is not None:
@@ -280,21 +285,51 @@ def _factor_grad(g: np.ndarray, other: np.ndarray, shape: tuple[int, ...]) -> np
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """``a·b``.  The NCHW product of a full-size ``a`` and a ``b`` of its
-    shape or (N, C, 1, 1) offers a recipe for planes ``r`` of its N·C planes
-    from the operands its rule keeps, which ``conv2d`` keeps instead of it."""
+    """``a·b``; the rule keeps both operands, never the product."""
     b = _constant_like(b, a)
     ad, bd = a.data, b.data
-    data = ad * bd
 
     def bw(g):
         return _factor_grad(g, bd, ad.shape), _factor_grad(g, ad, bd.shape)
 
-    def planes(r):
-        return np.multiply(ad.reshape(-1, *ad.shape[2:])[r], bd.reshape(-1, *bd.shape[2:])[r])
+    return _make_output(ad * bd, (a, b), bw)
 
-    per_plane = data.ndim == 4 and ad.shape == data.shape and bd.shape in (ad.shape, ad.shape[:2] + (1, 1))
-    return _make_output(data, (a, b), bw, planes if per_plane else None)
+
+def checkpoint(fn: Callable[[Tensor], Tensor], x: Tensor, module) -> Tensor:
+    """``fn(x)``, the forward of ``module``, as one node that keeps only ``x``
+    (Chen et al., arXiv 1604.06174, §3–4).  ``fn`` runs under ``no_grad``;
+    the rule runs it again with recording on, on a fresh leaf holding
+    ``x``'s array, and backpropagates through that graph, where the
+    parameters take their gradients.  The module's buffers (running
+    statistics) are restored after the second run, so a step updates them
+    once."""
+    if not _GRAD_MODE.enabled:
+        return fn(x)
+    with no_grad():
+        y = fn(x)
+    xd, tracked, training = x.data, x._tracked, module.training
+
+    def rule(g):
+        if module.training != training:
+            raise ContractError("checkpoint: the module changed train/eval mode between forward and backward")
+        buffers = [b for m in module.modules() for b in m._buffers.values()]
+        kept = [b.copy() for b in buffers]
+        leaf, mode, _GRAD_MODE.enabled = Tensor(xd, requires_grad=tracked), _GRAD_MODE.enabled, True
+        try:
+            out = fn(leaf)
+            if not out._leaf:
+                _run(out._node, g)
+        finally:
+            _GRAD_MODE.enabled = mode
+            for b, k in zip(buffers, kept):
+                b[...] = k
+        return (leaf.grad,)
+
+    # recorded even for an untracked x: the parameters inside take gradients
+    out = Tensor(y.data)
+    out._leaf, out._tracked = False, True
+    out._node = [next(_SEQ), (None if not tracked else x if x._leaf else x._node,), rule]
+    return out
 
 
 # -- structural ops ----------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import functional as F
 from .autodiff.module import Module, Parameter
-from .autodiff.tensor import Tensor, concat, mean, reshape, transpose
+from .autodiff.tensor import Tensor, checkpoint, concat, mean, reshape, transpose
 from .errors import ConfigError, ShapeError
 from .layout import (
     WindowStack,
@@ -229,6 +229,9 @@ class SegnetrBlock(Module):
     ``P·f_l``, keeping ``m`` as the residual base:
     ``f = 1 + α_g·f_l·g_g(P·f_l)``.  Fusion weights are learnable scalars
     starting at 0.5.
+
+    With recording on, the block is one ``checkpoint`` node: its graph keeps
+    only the block input, and the backward runs ``_body`` again.
     """
 
     def __init__(self, channels: int, p: int, mode: str = "parallel", *, rng, dtype=np.float32):
@@ -245,6 +248,9 @@ class SegnetrBlock(Module):
             self.alpha_global = Parameter(np.asarray(0.5, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
+        return checkpoint(self._body, x, self)
+
+    def _body(self, x: Tensor) -> Tensor:
         m = self.mbconv(x)
         if self.mode == "without":
             return m

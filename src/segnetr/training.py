@@ -83,18 +83,21 @@ class TrainRun:
 
 
 def predict(model: Module, images: np.ndarray, batch_size: int = 4) -> np.ndarray:
-    """Class maps from argmax over the logits channel, in eval mode."""
+    """Class maps from argmax over the logits channel, in eval mode; the
+    model's mode is restored even if a forward raises."""
     if images.shape[0] == 0:
         raise ValidationError(f"predict: empty batch: images {images.shape} hold no image")
     was_training = model.training
     model.eval()
     preds = []
-    with no_grad():
-        for start in range(0, images.shape[0], batch_size):
-            logits = model(Tensor(images[start : start + batch_size]))
-            preds.append(np.argmax(logits.data, axis=1))
-    if was_training:
-        model.train()
+    try:
+        with no_grad():
+            for start in range(0, images.shape[0], batch_size):
+                logits = model(Tensor(images[start : start + batch_size]))
+                preds.append(np.argmax(logits.data, axis=1))
+    finally:
+        if was_training:
+            model.train()
     return np.concatenate(preds, axis=0)
 
 

@@ -52,11 +52,11 @@ def _root(arr: np.ndarray) -> np.ndarray:
 
 
 def closure_arrays(*fns) -> list:
-    """Arrays that functions (a backward rule, a recipe) keep alive: through
+    """Arrays that functions (backward rules) keep alive: through
     closure cells and default arguments, as bare arrays, tensors' data,
     items of a tuple or list, the array behind a bound method
     (``arr.__getitem__``) or a ``functools.partial``, and the same held by
-    a function they reach (a kernel's own backward, a recipe it keeps)."""
+    a function they reach (a kernel's own backward)."""
     found, pending, visited = [], list(fns), set()
     while pending:
         item = pending.pop()
@@ -84,7 +84,7 @@ def closure_arrays(*fns) -> list:
 
 
 def graph_nodes(loss: Tensor) -> list:
-    """Every pending record ``[seq, parents, rule, recipe]`` reachable from
+    """Every pending record ``[seq, parents, rule]`` reachable from
     ``loss``, in creation order."""
     found, stack, seen = [], [loss._node], set()
     while stack:
@@ -100,15 +100,15 @@ def graph_nodes(loss: Tensor) -> list:
 def graph_saved_bytes(loss: Tensor) -> int:
     """Bytes of the distinct non-parameter buffers the pending graph of
     ``loss`` keeps alive: the loss itself, every reachable record's leaf
-    parents and whatever its rule and recipe reach (``closure_arrays``).
+    parents and whatever its rule reaches (``closure_arrays``).
     Views count once, as the array that owns their memory; parameters and
     arrays viewing them are left out."""
     records = graph_nodes(loss)
     params = {id(_root(p.data)) for rec in records for p in rec[1] if isinstance(p, Parameter)}
     arrays = [loss.data]
-    for _, parents, rule, recipe in records:
+    for _, parents, rule in records:
         arrays += [p.data for p in parents if isinstance(p, Tensor)]
-        arrays += closure_arrays(rule, recipe)
+        arrays += closure_arrays(rule)
     seen, total = set(), 0
     for arr in arrays:
         root = _root(arr)

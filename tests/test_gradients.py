@@ -35,7 +35,7 @@ from segnetr.autodiff import (
 import segnetr.verify
 from segnetr.autodiff.tensor import _make_output, no_grad
 from segnetr.errors import ContractError
-from segnetr.verify import AFFINE_TOL, GENERAL_TOL, _t, op_cases
+from segnetr.verify import _MODULE_CASES, AFFINE_TOL, GENERAL_TOL, _t, op_cases
 
 from .oracles import adam_naive
 
@@ -344,10 +344,10 @@ def test_every_op_passes_finite_differences(seed):
     _assert_cases_pass(op_cases(np.random.default_rng(seed + 100)))
 
 
-def _recipe_chains(rng):
-    """Producer → consumer pairs whose consumer keeps the producer's recipe
-    in place of its output: a conv rebuilding its input from a norm's or a
-    gate's recipe, and norms keeping a 1×1 conv's."""
+def _producer_chains(rng):
+    """Producer → consumer pairs the MBConv runs: a conv reading a norm's or
+    a gate's output, and norms reading a 1×1 conv's.  A rule that wrote into
+    an array its neighbour's rule keeps would fail here."""
     t = functools.partial(_t, rng)
     rm, rv = np.zeros(4), np.ones(4)
     return [
@@ -363,7 +363,7 @@ def _recipe_chains(rng):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_recipe_chains_pass_finite_differences(seed):
-    _assert_cases_pass(_recipe_chains(np.random.default_rng(seed + 100)))
+    _assert_cases_pass(_producer_chains(np.random.default_rng(seed + 100)))
 
 
 def _exported_ops():
@@ -381,7 +381,8 @@ def _exported_ops():
 
 def test_every_exported_op_is_run_by_an_op_case(monkeypatch):
     # an op runs when its frame is on the stack of a node being recorded;
-    # global_avg_pool records none of its own, its mean does
+    # global_avg_pool records none of its own, its mean does, and checkpoint
+    # runs in the segnetr block module case, whose ops it calls
     on_stack, original = set(), tensor._make_output
 
     def recording(*args, **kwargs):
@@ -393,7 +394,8 @@ def test_every_exported_op_is_run_by_an_op_case(monkeypatch):
 
     for module in (tensor, functional):
         monkeypatch.setattr(module, "_make_output", recording)
-    cases = op_cases(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    cases = op_cases(rng) + [(name, tol, *build(rng)) for name, tol, build in _MODULE_CASES]
     for _, _, fn, inputs in cases:
         fn(*inputs)
     names = [name for name, *_ in cases]

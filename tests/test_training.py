@@ -18,6 +18,7 @@ from segnetr.errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
+    ShapeError,
     TrainingError,
     ValidationError,
 )
@@ -214,6 +215,14 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="empty batch"):
             predict(model, np.zeros((0, 3, 32, 32), dtype=np.float32))
         assert model.training
+
+    def test_predict_restores_train_mode_when_a_forward_raises(self):
+        # evaluate promises to mutate nothing, so a failed forward must not
+        # leave the model in eval mode
+        model = build(small_cfg())
+        with pytest.raises(ShapeError):
+            predict(model, np.zeros((2, 4, 32, 32), dtype=np.float32))
+        assert all(m.training for m in model.modules())
 
     def test_predict_returns_class_maps(self):
         model = build(small_cfg(num_classes=3))
